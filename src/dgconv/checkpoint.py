@@ -35,6 +35,9 @@ __all__ = ["Checkpoint", "save_checkpoint", "load_checkpoint",
            "restore_network", "restore_optimizer", "restore_threshold"]
 
 MAGIC = b"DGCKPT 1\n"
+_MANIFEST_KEYS = ("config", "epoch", "bn_batches_tracked", "threshold",
+                  "threshold_last_update", "rng_state", "params",
+                  "blob_elements")
 
 
 @dataclass
@@ -114,6 +117,10 @@ def load_checkpoint(path: str) -> Checkpoint:
             raise ValueError(f"{path}: truncated manifest")
         manifest = json.loads(payload)
         blob = fh.read()
+    missing = [key for key in _MANIFEST_KEYS
+               if not isinstance(manifest, dict) or key not in manifest]
+    if missing:
+        raise ValueError(f"{path}: manifest lacks {', '.join(missing)}")
 
     elements = manifest["blob_elements"]
     if len(blob) != 8 * elements:

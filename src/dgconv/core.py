@@ -80,7 +80,11 @@ class ConvFilter:
 
 
 def conv_output_size(size: int, k: int, stride: int, pad: int) -> int:
-    return (size + 2 * pad - k) // stride + 1
+    out = (size + 2 * pad - k) // stride + 1
+    if out < 1:
+        raise ValueError(f"convolution geometry yields empty output: input "
+                         f"{size}, k={k}, stride={stride}, pad={pad}")
+    return out
 
 
 def im2col(x: np.ndarray, k: int, stride: int, pad: int) -> tuple[np.ndarray, int, int]:
@@ -92,10 +96,6 @@ def im2col(x: np.ndarray, k: int, stride: int, pad: int) -> tuple[np.ndarray, in
     n, c, h, w = x.shape
     oh = conv_output_size(h, k, stride, pad)
     ow = conv_output_size(w, k, stride, pad)
-    if oh < 1 or ow < 1:
-        raise ValueError(
-            f"convolution geometry yields empty output: input {h}x{w}, "
-            f"k={k}, stride={stride}, pad={pad}")
     if pad:
         x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     win = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]

@@ -18,9 +18,11 @@ Two gating modes exist:
 Training uses a dense masked formulation, mathematically identical to
 gathering: unselected channels are zeroed before a full convolution, which
 also makes the masked-gradient rule exact (filter slices touching channels
-no sample selected receive exactly zero gradient). Evaluation gathers the
-selected channels and convolves the reduced slice, the same computation the
-inference index plan performs.
+no sample selected receive exactly zero gradient). Evaluation gathers:
+per head, samples are grouped by kept count, and each group is one
+gathered_conv call, one im2col and one stacked GEMM whose per-sample GEMM
+keeps the batch-1 shape; the index plan calls it on a stack of one, so
+plans reproduce evaluation bit for bit.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ __all__ = [
     "headwise_gate",
     "select_and_amplify",
     "gather_filters",
+    "gathered_conv",
     "channel_shuffle",
     "channel_unshuffle",
     "dgc_forward",
@@ -166,11 +169,16 @@ def saliency_forward(x: np.ndarray, head: HeadParams,
     if x.ndim != 4 or x.shape[1] != head.w_squeeze.shape[1]:
         raise ValueError(f"saliency input must be (N, {head.w_squeeze.shape[1]}, H, W), "
                          f"got {x.shape}")
-    p = x.mean(axis=(2, 3))
+    return _saliency(x.mean(axis=(2, 3)), head, keep_sign)[-1]
+
+
+def _saliency(p: np.ndarray, head: HeadParams, keep_sign: bool):
+    """Saliency MLP on pooled channel means p (N, C); returns the
+    intermediates training caches, (z1, a1, z2, g), g last."""
     z1 = p @ head.w_squeeze.T + head.b_squeeze
     a1 = np.maximum(z1, 0.0)
     z2 = a1 @ head.w_expand.T + head.b_expand
-    return z2 if keep_sign else np.maximum(z2, 0.0)
+    return z1, a1, z2, (z2 if keep_sign else np.maximum(z2, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -213,11 +221,7 @@ def headwise_gate(g: np.ndarray, prune_rate: float) -> GateDecision:
     g = np.asarray(g, dtype=np.float64)
     if g.ndim != 1:
         raise ValueError("headwise_gate expects a single saliency vector")
-    if not 0.0 <= prune_rate < 1.0:
-        raise ValueError(f"prune_rate must be in [0, 1), got {prune_rate}")
-    k = kept_channels(g.size, prune_rate)
-    order = np.argsort(-g, kind="stable")
-    sel = np.sort(order[:k])
+    sel = np.flatnonzero(_gate_masks(g[None], HeadwiseGating(prune_rate)))
     return GateDecision(sel, g[sel], float(g[sel].min()))
 
 
@@ -243,10 +247,28 @@ def select_and_amplify(x: np.ndarray, decision: GateDecision) -> np.ndarray:
 
 
 def gather_filters(filters: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """Restrict a filter bank (C_out, C, k, k) to the given in-channel slices."""
+    """Restrict a filter bank (C_out, C, k, k) to the given in-channel
+    slices; the result is C-contiguous, as gathered_conv expects."""
     if filters.ndim != 4:
         raise ValueError(f"filter bank must be 4-D, got {filters.shape}")
-    return filters[:, np.asarray(indices, dtype=np.int64)]
+    return np.take(filters, np.asarray(indices, dtype=np.int64), axis=1)
+
+
+def gathered_conv(x: np.ndarray, rows: np.ndarray | int,
+                  indices: np.ndarray, amplify: np.ndarray,
+                  banks: np.ndarray, stride: int, padding: int) -> np.ndarray:
+    """The sparse DGC kernel, (r, C_out, H', W') out: entry j of the stack
+    is x[rows[j]] restricted to channels indices[j] (r, kc), scaled by
+    amplify[j] (r, kc) and convolved with banks[j] (r, C_out, kc, k, k).
+    One im2col unfolds the stack and one stacked matmul convolves it; each
+    entry's GEMM keeps the shape and C order a batch of one gives, so its
+    output does not depend on the rest of the stack; kc = 0 gives zeros."""
+    r, co, kc, k, _ = banks.shape
+    xs = x[np.reshape(rows, (-1, 1)), indices] * amplify[:, :, None, None]
+    cols, oh, ow = im2col(xs, k, stride, padding)
+    wmat = np.ascontiguousarray(banks).reshape(r, co, kc * k * k)
+    y = np.matmul(cols.reshape(r, oh * ow, kc * k * k), wmat.transpose(0, 2, 1))
+    return y.reshape(r, oh, ow, co).transpose(0, 3, 1, 2)
 
 
 def channel_shuffle(x: np.ndarray, heads: int) -> np.ndarray:
@@ -311,28 +333,6 @@ def _gate_masks(g: np.ndarray, gating: HeadwiseGating | GlobalGating) -> np.ndar
     return np.abs(g) >= gating.threshold
 
 
-def _gathered_head_forward(x_sample: np.ndarray, indices: np.ndarray,
-                           amplify: np.ndarray, filters: np.ndarray,
-                           stride: int, padding: int) -> np.ndarray:
-    """Reference sparse execution for one sample and one head.
-
-    Gathers the selected input channels, scales them, and convolves with
-    the matching filter slices. The inference index plan runs this exact
-    code, which is what makes plan execution bit-identical to the
-    reference forward. An empty selection yields a zero output slice.
-    """
-    co, _, k, _ = filters.shape
-    h, w = x_sample.shape[-2:]
-    if indices.size == 0:
-        oh = conv_output_size(h, k, stride, padding)
-        ow = conv_output_size(w, k, stride, padding)
-        return np.zeros((co, oh, ow))
-    xs = x_sample[indices] * amplify[:, None, None]
-    y = conv2d_forward(xs[None], ConvFilter(gather_filters(filters, indices),
-                                            stride, padding))
-    return y[0]
-
-
 def dgc_forward(x: np.ndarray, layer: DgcLayer,
                 gating: HeadwiseGating | GlobalGating, *,
                 training: bool = True) -> DgcForward:
@@ -340,49 +340,48 @@ def dgc_forward(x: np.ndarray, layer: DgcLayer,
 
     Output shape is (N, C', H', W') regardless of how many channels each
     head kept. Training mode runs the dense masked formulation and caches
-    intermediates for dgc_backward; evaluation mode runs the gathered
-    sparse formulation per sample.
+    intermediates for dgc_backward; evaluation mode groups each head's
+    samples by kept count and runs gathered_conv once per group.
     """
     cfg = layer.config
     if x.ndim != 4 or x.shape[1] != cfg.in_channels:
         raise ValueError(f"dgc input must be (N, {cfg.in_channels}, H, W), got {x.shape}")
     keep_sign = isinstance(gating, GlobalGating)
-    n = x.shape[0]
+    n, co = x.shape[0], cfg.head_out_channels
     k, stride, pad = cfg.kernel_size, cfg.stride, cfg.padding
+    out = np.empty((n, cfg.out_channels, conv_output_size(x.shape[2], k, stride, pad),
+                    conv_output_size(x.shape[3], k, stride, pad)))
 
-    saliencies, masks, head_out = [], [], []
+    p = x.mean(axis=(2, 3))
+    saliencies, masks = [], []
     cache = {"x": x, "heads": []} if training else None
-    for head in layer.heads:
-        p = x.mean(axis=(2, 3))
-        z1 = p @ head.w_squeeze.T + head.b_squeeze
-        a1 = np.maximum(z1, 0.0)
-        z2 = a1 @ head.w_expand.T + head.b_expand
-        g = z2 if keep_sign else np.maximum(z2, 0.0)
+    for i, head in enumerate(layer.heads):
+        z1, a1, z2, g = _saliency(p, head, keep_sign)
         mask = _gate_masks(g, gating)
-        ghat = np.where(mask, g, 0.0)
         saliencies.append(g)
         masks.append(mask)
+        dst = out[:, i::cfg.heads]      # head i's channels after the shuffle
 
         if training:
-            xg = x * ghat[:, :, None, None]
-            cols, oh, ow = im2col(xg, k, stride, pad)
-            wmat = head.filters.reshape(cfg.head_out_channels, -1)
-            y = np.ascontiguousarray(
-                (cols @ wmat.T).reshape(n, oh, ow, cfg.head_out_channels)
-                .transpose(0, 3, 1, 2))
+            ghat = np.where(mask, g, 0.0)
+            cols, oh, ow = im2col(x * ghat[:, :, None, None], k, stride, pad)
+            dst[...] = ((cols @ head.filters.reshape(co, -1).T)
+                        .reshape(n, oh, ow, co).transpose(0, 3, 1, 2))
             cache["heads"].append({"p": p, "z1": z1, "a1": a1, "z2": z2,
                                    "g": g, "mask": mask, "ghat": ghat,
                                    "cols": cols})
-        else:
-            rows = []
-            for s in range(n):
-                idx = np.flatnonzero(mask[s])
-                rows.append(_gathered_head_forward(x[s], idx, g[s, idx],
-                                                   head.filters, stride, pad))
-            y = np.stack(rows)
-        head_out.append(y)
+            continue
+        counts = mask.sum(axis=1)
+        for kc in np.unique(counts):
+            rows = np.flatnonzero(counts == kc)
+            if kc == 0:
+                dst[rows] = 0.0
+                continue
+            idx = np.nonzero(mask[rows])[1].reshape(rows.size, kc)
+            banks = head.filters[np.arange(co)[:, None], idx[:, None]]
+            dst[rows] = gathered_conv(x, rows, idx, g[rows[:, None], idx],
+                                      banks, stride, pad)
 
-    out = channel_shuffle(np.concatenate(head_out, axis=1), cfg.heads)
     return DgcForward(out, saliencies, masks, gating, keep_sign, cache)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dgc import GateDecision
+from .dgc import _RANK_EPS, GateDecision
 
 __all__ = [
     "SaliencyLibrary",
@@ -32,7 +32,6 @@ __all__ = [
     "angle_loss_and_grad",
 ]
 
-_RANK_EPS = 1e-9
 _NORM_EPS = 1e-12
 
 # Epochs between threshold recomputations (update fires on the third epoch

@@ -3,8 +3,8 @@
 An index plan freezes one sample's gating decisions into pre-gathered
 filter slices so the sparse convolution runs as a dense one on a reduced
 channel set. Plan execution reproduces the reference evaluation forward
-bit for bit because both sides run the identical gather-scale-convolve
-sequence on identical arrays.
+bit for bit because both call the same kernel, dgc.gathered_conv, whose
+per-sample GEMM has the same shape in a stack of one as in a batch.
 
 MAC counts follow the standard conv cost k^2*C'*C*H'*W' and the DGC
 decomposition into per-head saliency cost 2*C^2/d and reduced conv cost
@@ -28,9 +28,9 @@ from .core import ConvFilter, conv2d_forward, conv_output_size
 from .dgc import (
     DgcLayer,
     GateDecision,
-    _gathered_head_forward,
     channel_shuffle,
     gather_filters,
+    gathered_conv,
     headwise_gate,
     kept_channels,
     saliency_forward,
@@ -140,7 +140,6 @@ class IndexPlan:
     in_channels: int
     stride: int
     padding: int
-    timestamp: float = field(default_factory=time.time)
 
     @property
     def heads(self) -> int:
@@ -179,23 +178,15 @@ def plan_from_forward(layer: DgcLayer, fwd, sample: int) -> IndexPlan:
 def execute_plan(plan: IndexPlan, x_sample: np.ndarray) -> np.ndarray:
     """Run the planned sparse convolution on a (C, H, W) sample.
 
-    Performs exactly the gather-scale-convolve sequence of the reference
-    evaluation forward, so outputs are equal to it bit for bit.
+    Calls the evaluation forward's kernel on a stack of one, so outputs
+    are equal to it bit for bit.
     """
     if x_sample.ndim != 3 or x_sample.shape[0] != plan.in_channels:
         raise ValueError(f"plan expects ({plan.in_channels}, H, W) input, "
                          f"got {x_sample.shape}")
-    outs = []
-    for idx, amp, bank in zip(plan.indices, plan.amplify, plan.filters):
-        co, _, k, _ = bank.shape
-        if idx.size == 0:
-            oh = conv_output_size(x_sample.shape[1], k, plan.stride, plan.padding)
-            ow = conv_output_size(x_sample.shape[2], k, plan.stride, plan.padding)
-            outs.append(np.zeros((co, oh, ow)))
-            continue
-        xs = x_sample[idx] * amp[:, None, None]
-        outs.append(conv2d_forward(xs[None],
-                                   ConvFilter(bank, plan.stride, plan.padding))[0])
+    outs = [gathered_conv(x_sample[None], 0, idx[None], amp[None], bank[None],
+                          plan.stride, plan.padding)[0]
+            for idx, amp, bank in zip(plan.indices, plan.amplify, plan.filters)]
     return channel_shuffle(np.concatenate(outs)[None], plan.heads)[0]
 
 
@@ -329,11 +320,10 @@ def _dgc_instrumented(x, heads_params, prune_rate, stride, padding):
         g = saliency_forward(x, head)[0]
         t1 = time.perf_counter()
         dec = headwise_gate(g, prune_rate)
-        xs = x[0, dec.indices] * dec.amplify[:, None, None]
         bank = gather_filters(head.filters, dec.indices)
         t2 = time.perf_counter()
-        outs.append(conv2d_forward(xs[None],
-                                   ConvFilter(bank, stride, padding))[0])
+        outs.append(gathered_conv(x, 0, dec.indices[None], dec.amplify[None],
+                                  bank[None], stride, padding)[0])
         t3 = time.perf_counter()
         sal += t1 - t0
         idx_t += t2 - t1

@@ -1,7 +1,12 @@
-"""Shared oracles and helpers: naive convolution loops and finite differences."""
+"""Shared oracles and helpers: naive convolution loops, finite differences
+and checkpoint manifest edits."""
+
+import json
 
 import numpy as np
 import pytest
+
+from dgconv.checkpoint import MAGIC
 
 
 def naive_conv2d(x, weights, stride=1, pad=0):
@@ -51,3 +56,16 @@ def rel_error(a, b, floor=1e-8):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240229)
+
+
+def rewrite_manifest(path, edit):
+    """Apply edit to the manifest dict of a saved checkpoint in place."""
+    with open(path, "rb") as fh:
+        assert fh.readline() == MAGIC
+        length = int(fh.readline())
+        manifest = json.loads(fh.read(length))
+        blob = fh.read()
+    edit(manifest)
+    payload = json.dumps(manifest).encode()
+    with open(path, "wb") as fh:
+        fh.write(MAGIC + f"{len(payload)}\n".encode() + payload + blob)

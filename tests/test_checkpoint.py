@@ -18,6 +18,7 @@ from dgconv.core import SGD
 from dgconv.dgc import HeadwiseGating
 from dgconv.global_threshold import GlobalThresholdState
 from dgconv.model import DgcNetwork
+from conftest import rewrite_manifest
 
 CFG = """
 model = conv:3:4:3:1:1, dgc:4:4:3:1:1
@@ -130,6 +131,16 @@ class TestValidation:
         with open(path, "wb") as fh:
             fh.write(MAGIC + f"{len(payload)}\n".encode() + payload + blob)
         with pytest.raises(ValueError, match="partition"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["rng_state", "params", "blob_elements",
+                                     "threshold", "config"])
+    def test_missing_manifest_key_named(self, tmp_path, key):
+        net, opt, rng = trained_state()
+        path = str(tmp_path / "k.ckpt")
+        save_checkpoint(path, net, opt, epoch=1, rng=rng)
+        rewrite_manifest(path, lambda manifest: manifest.pop(key))
+        with pytest.raises(ValueError, match=f"manifest lacks.*{key}"):
             load_checkpoint(path)
 
     def test_shape_drift_rejected(self, tmp_path):

@@ -10,6 +10,7 @@ from dgconv.data import synth_dataset, write_cifar10
 from dgconv.runtime import BenchResult, read_bench_csv
 from dgconv.train import evaluate, read_eval_csv, read_metrics_csv
 from dgconv.vis import read_matrix_csv
+from conftest import rewrite_manifest
 
 CFG = """
 model = conv:3:4:3:2:1, dgc:4:8:3:2:1
@@ -179,6 +180,15 @@ class TestEval:
         direct = evaluate(net, data)
         assert parsed.csv_lines() == direct.csv_lines()
         assert parsed.macs_per_sample == direct.macs_per_sample
+
+    def test_checkpoint_missing_manifest_key_is_usage_error(
+            self, tmp_path, cfg_path, capsys):
+        _, out = run_train(tmp_path, cfg_path)
+        ckpt = os.path.join(out, "model.ckpt")
+        rewrite_manifest(ckpt, lambda manifest: manifest.pop("rng_state"))
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", ckpt, *DATA_ARGS]) == EXIT_USAGE
+        assert "rng_state" in capsys.readouterr().err
 
     def test_missing_checkpoint_is_usage_error(self, tmp_path, capsys):
         code = main(["eval", "--checkpoint", str(tmp_path / "no.ckpt")])

@@ -137,7 +137,6 @@ class TestIndexPlan:
                 for _ in range(2)]
         plan = build_index_plan(layer, decs)
         npt.assert_array_equal(plan.filters[0], layer.heads[0].filters[:, [0, 2]])
-        assert plan.timestamp > 0
 
     def test_matches_naive_gathered_conv(self, rng):
         layer = make_layer(seed=4)
@@ -174,6 +173,58 @@ class TestIndexPlan:
         plan = plan_from_forward(layer, fwd, 0)
         out = execute_plan(plan, x[0])
         npt.assert_array_equal(out, np.zeros_like(out))
+
+
+class TestBatchedEvaluation:
+    """Evaluation runs dgc.gathered_conv once per (head, kept count)."""
+
+    @pytest.mark.parametrize("k,stride", [(3, 1), (3, 2), (1, 1), (1, 2)])
+    def test_headwise_batch_matches_plans(self, rng, k, stride):
+        layer = make_layer(c=16, cp=8, heads=4, seed=6, k=k, stride=stride,
+                           pad=k // 2)
+        x = rng.normal(size=(7, 16, 7, 7))
+        fwd = dgc_forward(x, layer, HeadwiseGating(0.5), training=False)
+        for s in range(7):
+            npt.assert_array_equal(
+                execute_plan(plan_from_forward(layer, fwd, s), x[s]),
+                fwd.output[s])
+
+    @pytest.mark.parametrize("k,stride", [(3, 1), (3, 2), (1, 2)])
+    def test_global_uneven_and_empty_slices_match_plans(self, rng, k, stride):
+        layer = make_layer(c=16, cp=8, heads=4, seed=7, k=k, stride=stride,
+                           pad=k // 2)
+        x = rng.normal(size=(9, 16, 6, 6))
+        g = np.abs(dgc_forward(x, layer, GlobalGating(0.0),
+                               training=False).saliencies)
+        gating = GlobalGating(float(np.quantile(g, 0.7)))
+        fwd = dgc_forward(x, layer, gating, training=False)
+        counts = np.stack([m.sum(axis=1) for m in fwd.masks])
+        assert (counts == 0).any() and (counts > 0).any()
+        assert any(np.unique(c).size > 2 for c in counts)
+        for s in range(9):
+            npt.assert_array_equal(
+                execute_plan(plan_from_forward(layer, fwd, s), x[s]),
+                fwd.output[s])
+
+    def test_one_kernel_call_per_head_and_kept_count(self, rng, monkeypatch):
+        from dgconv import dgc
+
+        calls, kernel = [], dgc.gathered_conv
+
+        def counting(x, rows, *args):
+            calls.append(np.size(rows))
+            return kernel(x, rows, *args)
+
+        monkeypatch.setattr(dgc, "gathered_conv", counting)
+        layer = make_layer(c=16, cp=8, heads=4, seed=8)
+        x = rng.normal(size=(12, 16, 5, 5))
+        dgc_forward(x, layer, HeadwiseGating(0.5), training=False)
+        assert calls == [12] * 4
+        calls.clear()
+        fwd = dgc_forward(x, layer, GlobalGating(0.3), training=False)
+        groups = [np.unique(m.sum(axis=1)) for m in fwd.masks]
+        assert len(calls) == sum(int((g > 0).sum()) for g in groups)
+        assert len(calls) > 4 and sum(calls) < 4 * 12
 
 
 class TestBenchmark:
