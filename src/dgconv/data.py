@@ -13,7 +13,7 @@ without external files, and can round-trip through the same binary format.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,32 +42,33 @@ class DatasetSource:
     labels: np.ndarray
     mean: np.ndarray
     std: np.ndarray
-    pad_crop: bool = False
-    hflip: bool = False
 
     def __post_init__(self) -> None:
         if self.images.ndim != 4 or self.images.shape[1:] != IMAGE_SHAPE:
             raise ValueError(f"images must be (N, 3, 32, 32), got {self.images.shape}")
         if self.labels.shape != (self.images.shape[0],):
             raise ValueError("labels must align with images")
-        if self.labels.size and (self.labels.min() < 0
-                                 or self.labels.max() >= NUM_LABELS):
-            raise ValueError("labels must lie in [0, 10)")
+        self.check_classes(NUM_LABELS)
+
+    def check_classes(self, classes: int) -> None:
+        """Raise ValueError naming the first label outside [0, classes)."""
+        bad = self.labels[(self.labels < 0) | (self.labels >= classes)]
+        if bad.size:
+            raise ValueError(f"label {bad[0]} outside [0, classes = {classes})")
 
     def __len__(self) -> int:
         return self.images.shape[0]
 
     @classmethod
     def from_arrays(cls, images: np.ndarray, labels: np.ndarray,
-                    stats: tuple[np.ndarray, np.ndarray] | None = None,
-                    **flags) -> "DatasetSource":
+                    stats: tuple[np.ndarray, np.ndarray] | None = None) -> "DatasetSource":
         if stats is None:
             mean = images.mean(axis=(0, 2, 3))
             std = images.std(axis=(0, 2, 3))
             std = np.where(std > 1e-8, std, 1.0)
         else:
             mean, std = (np.asarray(s, dtype=np.float64) for s in stats)
-        return cls(images, labels.astype(np.int64), mean, std, **flags)
+        return cls(images, labels.astype(np.int64), mean, std)
 
     @property
     def stats(self) -> tuple[np.ndarray, np.ndarray]:
@@ -82,9 +83,7 @@ class DatasetSource:
         if not 0 < train_count < len(self):
             raise ValueError(f"split point {train_count} outside (0, {len(self)})")
         head = DatasetSource.from_arrays(self.images[:train_count],
-                                         self.labels[:train_count],
-                                         pad_crop=self.pad_crop,
-                                         hflip=self.hflip)
+                                         self.labels[:train_count])
         tail = DatasetSource.from_arrays(self.images[train_count:],
                                          self.labels[train_count:],
                                          stats=head.stats)
@@ -92,15 +91,15 @@ class DatasetSource:
 
     def batches(self, batch_size: int, rng: np.random.Generator | None = None,
                 augment: bool = False):
-        """Yield (inputs, labels) minibatches; shuffles and augments only
-        when an rng is supplied (training); otherwise sequential order."""
+        """Yield (inputs, labels) minibatches; shuffles, and augments if asked,
+        only when an rng is supplied (training); otherwise sequential order."""
         n = len(self)
         order = rng.permutation(n) if rng is not None else np.arange(n)
         for start in range(0, n, batch_size):
             idx = order[start:start + batch_size]
             x = self.standardized(self.images[idx])
             if augment and rng is not None:
-                x = augment_batch(x, rng, self.pad_crop, self.hflip)
+                x = augment_batch(x, rng)
             yield x, self.labels[idx]
 
 
@@ -139,8 +138,7 @@ def _read_records(path: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def load_cifar10(paths: str | list[str],
-                 stats: tuple[np.ndarray, np.ndarray] | None = None,
-                 **flags) -> DatasetSource:
+                 stats: tuple[np.ndarray, np.ndarray] | None = None) -> DatasetSource:
     """Load one or more binary batch files into a DatasetSource.
 
     With stats=None the source standardizes by its own per-channel
@@ -153,7 +151,7 @@ def load_cifar10(paths: str | list[str],
     parts = [_read_records(p) for p in paths]
     images = np.concatenate([p[0] for p in parts])
     labels = np.concatenate([p[1] for p in parts])
-    return DatasetSource.from_arrays(images, labels, stats, **flags)
+    return DatasetSource.from_arrays(images, labels, stats)
 
 
 def write_cifar10(path: str, images: np.ndarray, labels: np.ndarray) -> None:
@@ -168,8 +166,7 @@ def write_cifar10(path: str, images: np.ndarray, labels: np.ndarray) -> None:
 
 def synth_dataset(seed: int, classes: int = 10, count: int = 1000,
                   noise: float = 0.2,
-                  stats: tuple[np.ndarray, np.ndarray] | None = None,
-                  **flags) -> DatasetSource:
+                  stats: tuple[np.ndarray, np.ndarray] | None = None) -> DatasetSource:
     """Reproducible class-separable images: each class owns a smooth random
     template; samples are template + Gaussian noise, clipped to [0, 1]."""
     if not 1 <= classes <= NUM_LABELS:
@@ -181,5 +178,4 @@ def synth_dataset(seed: int, classes: int = 10, count: int = 1000,
     templates = np.kron(coarse, np.ones((8, 8)))
     labels = gen.integers(0, classes, size=count)
     images = templates[labels] + noise * gen.normal(size=(count, *IMAGE_SHAPE))
-    return DatasetSource.from_arrays(np.clip(images, 0.0, 1.0), labels,
-                                     stats, **flags)
+    return DatasetSource.from_arrays(np.clip(images, 0.0, 1.0), labels, stats)

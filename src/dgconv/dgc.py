@@ -15,14 +15,15 @@ Two gating modes exist:
   so heads may keep uneven (possibly empty) channel sets and saliencies
   keep their sign (see dgconv.global_threshold).
 
-Training uses a dense masked formulation, mathematically identical to
-gathering: unselected channels are zeroed before a full convolution, which
-also makes the masked-gradient rule exact (filter slices touching channels
-no sample selected receive exactly zero gradient). Evaluation gathers:
-per head, samples are grouped by kept count, and each group is one
-gathered_conv call, one im2col and one stacked GEMM whose per-sample GEMM
-keeps the batch-1 shape; the index plan calls it on a stack of one, so
-plans reproduce evaluation bit for bit.
+Training folds the gate into per-sample filters W * g_hat (g_hat: the
+saliency on kept channels, 0 elsewhere) and runs one im2col, one GEMM for
+all heads and, backward, one col2im; the saliency gradient follows from
+<col2im(G), x> = <G, im2col(x)>. Filter slices of channels no sample
+selected get exactly zero gradient. Evaluation gathers: per head, samples
+are grouped by kept count, and each group is one gathered_conv call, one
+im2col and one stacked GEMM whose per-sample GEMM keeps the batch-1 shape;
+the index plan calls it on a stack of one, so plans reproduce evaluation
+bit for bit.
 """
 
 from __future__ import annotations
@@ -305,17 +306,16 @@ class DgcForward:
     keep_sign: bool
     _cache: dict | None = field(default=None, repr=False)
 
+    def decision(self, head: int, sample: int) -> GateDecision:
+        """The gate decision of one sample in one head."""
+        g, idx = self.saliencies[head][sample], np.flatnonzero(self.masks[head][sample])
+        t = (self.gating.threshold if isinstance(self.gating, GlobalGating)
+             else float(g[idx].min()) if idx.size else 0.0)
+        return GateDecision(idx, g[idx], t)
+
     def decisions(self, head: int) -> list[GateDecision]:
         """Materialize per-sample gate decisions for one head."""
-        g, m = self.saliencies[head], self.masks[head]
-        thr = (self.gating.threshold if isinstance(self.gating, GlobalGating)
-               else None)
-        out = []
-        for n in range(g.shape[0]):
-            idx = np.flatnonzero(m[n])
-            t = thr if thr is not None else float(g[n, idx].min()) if idx.size else 0.0
-            out.append(GateDecision(idx, g[n, idx], t))
-        return out
+        return [self.decision(head, s) for s in range(self.masks[head].shape[0])]
 
     @property
     def realized_prune_rate(self) -> float:
@@ -330,6 +330,8 @@ def _gate_masks(g: np.ndarray, gating: HeadwiseGating | GlobalGating) -> np.ndar
             raise ValueError(f"prune_rate must be in [0, 1), got {gating.prune_rate}")
         return _topk_mask(g, kept_channels(g.shape[1], gating.prune_rate))
     # Global threshold keeps every |saliency| at or above it; may be empty.
+    if not (np.isfinite(gating.threshold) and gating.threshold >= 0.0):
+        raise ValueError(f"threshold must be finite and >= 0, got {gating.threshold}")
     return np.abs(g) >= gating.threshold
 
 
@@ -339,9 +341,9 @@ def dgc_forward(x: np.ndarray, layer: DgcLayer,
     """Full DGC layer pass: saliency, gate, amplify, convolve, shuffle.
 
     Output shape is (N, C', H', W') regardless of how many channels each
-    head kept. Training mode runs the dense masked formulation and caches
-    intermediates for dgc_backward; evaluation mode groups each head's
-    samples by kept count and runs gathered_conv once per group.
+    head kept. Training runs one GEMM of im2col(x) with per-sample gated
+    filters and caches intermediates for dgc_backward; evaluation runs
+    one gathered_conv per head and kept count.
     """
     cfg = layer.config
     if x.ndim != 4 or x.shape[1] != cfg.in_channels:
@@ -353,24 +355,17 @@ def dgc_forward(x: np.ndarray, layer: DgcLayer,
                     conv_output_size(x.shape[3], k, stride, pad)))
 
     p = x.mean(axis=(2, 3))
-    saliencies, masks = [], []
-    cache = {"x": x, "heads": []} if training else None
+    saliencies, masks, head_caches = [], [], []
     for i, head in enumerate(layer.heads):
         z1, a1, z2, g = _saliency(p, head, keep_sign)
         mask = _gate_masks(g, gating)
         saliencies.append(g)
         masks.append(mask)
-        dst = out[:, i::cfg.heads]      # head i's channels after the shuffle
-
         if training:
-            ghat = np.where(mask, g, 0.0)
-            cols, oh, ow = im2col(x * ghat[:, :, None, None], k, stride, pad)
-            dst[...] = ((cols @ head.filters.reshape(co, -1).T)
-                        .reshape(n, oh, ow, co).transpose(0, 3, 1, 2))
-            cache["heads"].append({"p": p, "z1": z1, "a1": a1, "z2": z2,
-                                   "g": g, "mask": mask, "ghat": ghat,
-                                   "cols": cols})
+            head_caches.append({"p": p, "z1": z1, "a1": a1, "z2": z2,
+                                "g": g, "mask": mask})
             continue
+        dst = out[:, i::cfg.heads]      # head i's channels after the shuffle
         counts = mask.sum(axis=1)
         for kc in np.unique(counts):
             rows = np.flatnonzero(counts == kc)
@@ -382,7 +377,19 @@ def dgc_forward(x: np.ndarray, layer: DgcLayer,
             dst[rows] = gathered_conv(x, rows, idx, g[rows[:, None], idx],
                                       banks, stride, pad)
 
-    return DgcForward(out, saliencies, masks, gating, keep_sign, cache)
+    if not training:
+        return DgcForward(out, saliencies, masks, gating, keep_sign)
+    # ghat (N, heads, C): the saliency on kept channels, exactly 0 elsewhere.
+    ghat = np.where(np.stack(masks, axis=1), np.stack(saliencies, axis=1), 0.0)
+    # Row o * heads + h of w is head h's filter o: the output lands shuffled.
+    w = np.stack([head.filters for head in layer.heads], axis=1).reshape(
+        co, cfg.heads, cfg.in_channels, k * k)
+    wn = (w * ghat[:, None, :, :, None]).reshape(n, cfg.out_channels, -1)
+    cols = im2col(x, k, stride, pad)[0].reshape(n, -1, wn.shape[2])
+    np.matmul(wn, cols.transpose(0, 2, 1), out=out.reshape(n, cfg.out_channels, -1))
+    return DgcForward(out, saliencies, masks, gating, keep_sign,
+                      {"x": x, "cols": cols, "ghat": ghat, "w": w, "wn": wn,
+                       "heads": head_caches})
 
 
 @dataclass
@@ -403,7 +410,8 @@ def dgc_backward(fwd: DgcForward, layer: DgcLayer, grad_out: np.ndarray,
     Selection indices are treated as constants: gradients flow through the
     multiplicative amplification and the saliency generator, while filter
     slices for channels no sample selected receive exactly zero gradient
-    (their column of the masked input is exactly zero).
+    (their g_hat column is exactly zero). Both the filter and the saliency
+    gradients are weighted sums of M[n] = grad_out[n] @ im2col(x)[n].
 
     lasso_coeff is the per-element L1 multiplier on the saliencies,
     already divided by (layers * heads * batch) by the caller.
@@ -411,30 +419,26 @@ def dgc_backward(fwd: DgcForward, layer: DgcLayer, grad_out: np.ndarray,
     additional loss gradient w.r.t. the saliencies (e.g. the angle
     enlargement loss).
     """
-    if fwd._cache is None:
+    cache = fwd._cache
+    if cache is None:
         raise ValueError("dgc_backward needs a training-mode forward cache")
     cfg = layer.config
-    x = fwd._cache["x"]
     if grad_out.shape != fwd.output.shape:
         raise ValueError(f"grad_out shape {grad_out.shape} does not match output "
                          f"{fwd.output.shape}")
-    n = x.shape[0]
-    k, stride, pad = cfg.kernel_size, cfg.stride, cfg.padding
-    hw = x.shape[2] * x.shape[3]
+    x, cols, ghat, w = cache["x"], cache["cols"], cache["ghat"], cache["w"]
+    n, hw = x.shape[0], x.shape[2] * x.shape[3]
 
-    gy = channel_unshuffle(grad_out, cfg.heads)
-    grad_x = np.zeros_like(x)
+    gy = grad_out.reshape(n, cfg.out_channels, -1)     # rows match cache["wn"]
+    m = np.matmul(gy, cols).reshape(n, *w.shape)       # (N, C'/heads, heads, C, k*k)
+    grad_w = (m * ghat[:, None, :, :, None]).sum(axis=0)
+    gg_heads = (m * w).sum(axis=1).sum(axis=-1)        # (N, heads, C)
+    gcols = np.matmul(gy.transpose(0, 2, 1), cache["wn"])
+    grad_x = col2im(gcols.reshape(-1, cols.shape[2]), x.shape, cfg.kernel_size,
+                    cfg.stride, cfg.padding)
     grads = DgcGrads(grad_x, [], [], [], [], [])
-    co = cfg.head_out_channels
-    for i, (head, hc) in enumerate(zip(layer.heads, fwd._cache["heads"])):
-        gy_h = gy[:, i * co:(i + 1) * co]
-        gy_mat = gy_h.transpose(0, 2, 3, 1).reshape(-1, co)
-        grad_filters = (gy_mat.T @ hc["cols"]).reshape(head.filters.shape)
-        gcols = gy_mat @ head.filters.reshape(co, -1)
-        gxg = col2im(gcols, x.shape, k, stride, pad)
-
-        grad_x += gxg * hc["ghat"][:, :, None, None]
-        gg = (gxg * x).sum(axis=(2, 3)) * hc["mask"]
+    for i, (head, hc) in enumerate(zip(layer.heads, cache["heads"])):
+        gg = gg_heads[:, i] * hc["mask"]
         if lasso_coeff:
             gg = gg + lasso_coeff * np.sign(hc["g"])
         if saliency_grad_extra is not None:
@@ -445,7 +449,7 @@ def dgc_backward(fwd: DgcForward, layer: DgcLayer, grad_out: np.ndarray,
         gp = gz1 @ head.w_squeeze
         grad_x += gp[:, :, None, None] / hw
 
-        grads.grad_filters.append(grad_filters)
+        grads.grad_filters.append(grad_w[:, i].reshape(head.filters.shape))
         grads.grad_w_expand.append(gz2.T @ hc["a1"])
         grads.grad_b_expand.append(gz2.sum(axis=0))
         grads.grad_w_squeeze.append(gz1.T @ hc["p"])

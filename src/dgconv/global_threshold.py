@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dgc import _RANK_EPS, GateDecision
+from .dgc import _RANK_EPS, GateDecision, GlobalGating, _gate_masks
 
 __all__ = [
     "SaliencyLibrary",
@@ -117,9 +117,7 @@ def global_gate(g: np.ndarray, threshold: float) -> GateDecision:
     g = np.asarray(g, dtype=np.float64)
     if g.ndim != 1:
         raise ValueError("global_gate expects a single saliency vector")
-    if not (np.isfinite(threshold) and threshold >= 0.0):
-        raise ValueError(f"threshold must be finite and >= 0, got {threshold}")
-    idx = np.flatnonzero(np.abs(g) >= threshold)
+    idx = np.flatnonzero(_gate_masks(g[None], GlobalGating(threshold)))
     return GateDecision(idx, g[idx], threshold)
 
 

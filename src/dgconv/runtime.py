@@ -172,7 +172,7 @@ def build_index_plan(layer: DgcLayer, decisions: list[GateDecision]) -> IndexPla
 def plan_from_forward(layer: DgcLayer, fwd, sample: int) -> IndexPlan:
     """Plan for one sample of a completed dgc_forward pass."""
     return build_index_plan(
-        layer, [fwd.decisions(h)[sample] for h in range(layer.config.heads)])
+        layer, [fwd.decision(h, sample) for h in range(layer.config.heads)])
 
 
 def execute_plan(plan: IndexPlan, x_sample: np.ndarray) -> np.ndarray:

@@ -226,6 +226,7 @@ def fit(config: TrainConfig, data: DatasetSource, *,
     statistics, threshold state, and the data-order RNG, so a resumed run
     is bit-identical to the uninterrupted one.
     """
+    data.check_classes(config.classes)
     schedule = PruneSchedule(config.epochs, config.prune_rate)
     if resume_from is not None:
         ckpt = load_checkpoint(resume_from)
@@ -338,6 +339,7 @@ def evaluate(net: DgcNetwork, data: DatasetSource,
     the realized channel counts measured on this data in global mode.
     """
     config = net.config
+    data.check_classes(config.classes)
     if config.gating == "global":
         if threshold_state is None or not threshold_state.initialized:
             raise ValueError("global gating needs a calibrated threshold")

@@ -154,7 +154,35 @@ class TestTrain:
         assert "no .bin files" in capsys.readouterr().err
 
 
+    def test_labels_beyond_classes_are_usage_error(self, tmp_path, cfg_path,
+                                                  capsys):
+        src = synth_dataset(seed=0, classes=10, count=64)
+        bin_path = str(tmp_path / "ten.bin")
+        write_cifar10(bin_path, src.images, src.labels)
+        code = main(["train", "--config", cfg_path,
+                     "--out", str(tmp_path / "run"),
+                     "--dataset", bin_path, "--epochs", "1"])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"label {src.labels[src.labels >= 2][0]} " in err
+        assert "classes = 2" in err
+
+
 class TestEval:
+    def test_labels_beyond_classes_are_usage_error(self, tmp_path, cfg_path,
+                                                  capsys):
+        _, out = run_train(tmp_path, cfg_path, extra=["--epochs", "1"])
+        src = synth_dataset(seed=0, classes=10, count=64)
+        bin_path = str(tmp_path / "ten.bin")
+        write_cifar10(bin_path, src.images, src.labels)
+        capsys.readouterr()
+        code = main(["eval", "--checkpoint", os.path.join(out, "model.ckpt"),
+                     "--dataset", bin_path])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"label {src.labels[src.labels >= 2][0]} " in err
+        assert "classes = 2" in err
+
     def test_same_checkpoint_twice_identical_table(self, tmp_path, cfg_path,
                                                    capsys):
         _, out = run_train(tmp_path, cfg_path)

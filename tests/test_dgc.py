@@ -44,14 +44,16 @@ def small_layer(seed, config=SMALL):
 
 
 def stable_setup(config=SMALL, n=2, hw=4, margin=5e-3, keep_sign=False,
-                 threshold=None):
+                 threshold=None, empty_head=False):
     """First seed whose relu pre-activations and saliency gaps all clear
-    the margin, making top-k / threshold selection locally constant."""
+    the margin, making top-k / threshold selection locally constant; with
+    empty_head, also one where some head keeps nothing for some sample."""
     for seed in range(500):
         gen = np.random.default_rng(seed)
         layer = init_dgc_layer(config, gen)
         x = gen.normal(size=(n, config.in_channels, hw, hw))
         ok = True
+        empty = False
         for head in layer.heads:
             p = x.mean(axis=(2, 3))
             z1 = p @ head.w_squeeze.T + head.b_squeeze
@@ -67,7 +69,9 @@ def stable_setup(config=SMALL, n=2, hw=4, margin=5e-3, keep_sign=False,
             if threshold is not None and np.abs(np.abs(g) - threshold).min() < margin:
                 ok = False
                 break
-        if ok:
+            if threshold is not None:
+                empty |= bool((np.abs(g) < threshold).all(axis=1).any())
+        if ok and (empty or not empty_head):
             return layer, x
     raise AssertionError("no selection-stable seed found")
 
@@ -336,10 +340,25 @@ class TestForward:
                            prune_rate=1.0)
 
 
+# Finite-difference geometries: stable_setup arguments for the layer,
+# batch, spatial size and (global gating) threshold.
+GRADIENT_CASES = {
+    "small": {},
+    "stride2": {"config": DgcLayerConfig(4, 4, 3, 2, 1, heads=2, squeeze=2,
+                                         prune_rate=0.5), "hw": 5},
+    "k1": {"config": DgcLayerConfig(4, 4, 1, 1, 0, heads=2, squeeze=2,
+                                    prune_rate=0.5)},
+    "batch3": {"n": 3},
+    "global_empty_head": {"keep_sign": True, "threshold": 0.3,
+                          "empty_head": True},
+}
+
+
 class TestBackward:
-    def loss_setup(self, keep_sign=False, threshold=None):
-        layer, x = stable_setup(keep_sign=keep_sign, threshold=threshold)
+    def loss_setup(self, **case):
+        layer, x = stable_setup(**case)
         gen = np.random.default_rng(99)
+        threshold = case.get("threshold")
         gating = GlobalGating(threshold) if threshold is not None \
             else HeadwiseGating(0.5)
         fwd = dgc_forward(x, layer, gating, training=True)
@@ -350,9 +369,12 @@ class TestBackward:
         fwd = dgc_forward(x, layer, gating, training=True)
         return fwd, dgc_backward(fwd, layer, r, **kw)
 
-    def test_input_gradient(self):
-        layer, x, gating, r = self.loss_setup()
-        _, grads = self.run_backward(layer, x, gating, r)
+    @pytest.mark.parametrize("case", GRADIENT_CASES)
+    def test_input_gradient(self, case):
+        layer, x, gating, r = self.loss_setup(**GRADIENT_CASES[case])
+        fwd, grads = self.run_backward(layer, x, gating, r)
+        if case == "global_empty_head":
+            assert any((m.sum(axis=1) == 0).any() for m in fwd.masks)
 
         def f():
             return float((dgc_forward(x, layer, gating).output * r).sum())
@@ -360,8 +382,9 @@ class TestBackward:
         num = numerical_grad(f, x)
         assert rel_error(grads.grad_input, num) < 1e-5
 
-    def test_parameter_gradients(self):
-        layer, x, gating, r = self.loss_setup()
+    @pytest.mark.parametrize("case", GRADIENT_CASES)
+    def test_parameter_gradients(self, case):
+        layer, x, gating, r = self.loss_setup(**GRADIENT_CASES[case])
         _, grads = self.run_backward(layer, x, gating, r)
 
         def f():
@@ -436,6 +459,21 @@ class TestBackward:
         for gw in grads.grad_filters:
             npt.assert_array_equal(gw[:, 3], np.zeros_like(gw[:, 3]))
             assert np.abs(gw[:, :3]).max() > 0
+
+    def test_one_im2col_and_one_col2im_per_layer(self, rng, monkeypatch):
+        from dgconv import dgc
+        calls = {"im2col": 0, "col2im": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(dgc, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(dgc, name, counted)
+        cfg = DgcLayerConfig(8, 8, 3, 1, 1, heads=4, squeeze=4, prune_rate=0.5)
+        layer = init_dgc_layer(cfg, rng)
+        fwd = dgc_forward(rng.normal(size=(3, 8, 5, 5)), layer,
+                          HeadwiseGating(0.5), training=True)
+        dgc_backward(fwd, layer, rng.normal(size=fwd.output.shape))
+        assert calls == {"im2col": 1, "col2im": 1}
 
     def test_backward_requires_training_cache(self, rng):
         layer = small_layer(0)

@@ -122,6 +122,22 @@ class TestIndexPlan:
             out = execute_plan(plan_from_forward(layer, fwd, s), x[s])
             npt.assert_array_equal(out, fwd.output[s])
 
+    def test_plan_builds_only_the_planned_sample(self, rng, monkeypatch):
+        from dgconv import dgc
+        built = []
+
+        class Counting(GateDecision):
+            def __post_init__(self):
+                built.append(1)
+                super().__post_init__()
+
+        monkeypatch.setattr(dgc, "GateDecision", Counting)
+        layer = make_layer(heads=4)
+        fwd = dgc_forward(rng.normal(size=(16, 8, 5, 5)), layer,
+                          HeadwiseGating(0.5), training=False)
+        plan_from_forward(layer, fwd, 7)
+        assert len(built) == 4
+
     def test_all_channels_selected_is_dense(self, rng):
         layer = make_layer(seed=1)
         x = rng.normal(size=(1, 8, 5, 5))

@@ -143,6 +143,21 @@ class TestTrainEpochs:
         h2 = [m.csv_line() for m in fit(cfg, data).history]
         assert h1 == h2
 
+    def test_augment_changes_training(self):
+        data = synth_dataset(seed=8, classes=2, count=64)
+        plain = [m.csv_line() for m in fit(cfg_with(epochs=2), data).history]
+        augmented = [m.csv_line()
+                     for m in fit(cfg_with(epochs=2, augment=1), data).history]
+        assert plain != augmented
+
+    def test_labels_beyond_classes_rejected(self):
+        data = synth_dataset(seed=9, classes=3, count=64)
+        with pytest.raises(ValueError, match=r"label 2 .* classes = 2"):
+            fit(cfg_with(epochs=1), data)
+        res = fit(cfg_with(epochs=1), synth_dataset(seed=9, classes=2, count=64))
+        with pytest.raises(ValueError, match=r"label 2 .* classes = 2"):
+            evaluate(res.net, data)
+
     def test_metrics_file_schema(self, tmp_path):
         cfg = cfg_with(epochs=3)
         data = synth_dataset(seed=7, classes=2, count=64)
