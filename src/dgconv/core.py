@@ -4,6 +4,14 @@ Everything operates on float64 numpy arrays in NCHW layout (batch,
 channels, height, width). Backward passes are hand-written per layer;
 there is no autodiff graph. Convolution is cross-correlation (no kernel
 flip), the universal deep-learning convention.
+
+Every forward convolution (dense, grouped, and the gated layers'
+evaluation) goes through batched_conv. Stride 1 with at most
+SHIFTED_TAPS_MAX_CHANNELS output channels on a map of at least
+SHIFTED_TAPS_MIN_PIXELS output pixels runs as k^2 GEMMs on shifted
+slices of the padded, flattened input, with no patch matrix and the
+output already in NCHW order; other shapes, and every backward pass, use
+im2col/col2im. The constants sit next to the timings they come from.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ __all__ = [
     "ConvFilter",
     "conv2d_forward",
     "conv2d_backward",
+    "batched_conv",
     "im2col",
     "col2im",
     "conv_output_size",
@@ -129,11 +138,109 @@ def conv2d_forward(x: np.ndarray, filt: ConvFilter) -> np.ndarray:
     if x.shape[1] != filt.in_channels:
         raise ValueError(
             f"conv input has {x.shape[1]} channels but filter expects {filt.in_channels}")
-    cols, oh, ow = im2col(x, filt.kernel_size, filt.stride, filt.padding)
-    wmat = filt.weights.reshape(filt.out_channels, -1)
-    y = cols @ wmat.T
     return np.ascontiguousarray(
-        y.reshape(x.shape[0], oh, ow, filt.out_channels).transpose(0, 3, 1, 2))
+        batched_conv(x, filt.weights, filt.stride, filt.padding))
+
+
+# Which stride-1 convolutions run as shifted taps (_shifted_taps) rather
+# than im2col + one GEMM. Medians of batched_conv on each path, 1 BLAS
+# thread, k = 3, pad 1, C = C' (2-core Xeon, numpy 2.4 / OpenBLAS 0.3.31):
+#
+#   C @ map      samples                  im2col    taps   ms
+#   16 @ 56x56   1                          2.16    0.60   gated head slices
+#   32 @ 28x28   1                          1.63    0.72   at rate 0.75
+#   64 @ 14x14   1                          1.07    0.83
+#   64 @ 56x56   1                         16.5     8.9    dense layers
+#   128 @ 28x28  1                         11.8     9.3
+#   128 @ 14x14  1                          2.76    2.45
+#   192 @ 14x14  1                          5.32    5.61
+#   256 @ 14x14  1                          8.47   10.4
+#   256 @ 20x20  1                         15.9    17.2
+#   16 @ 4x4     256, one bank each         3.34    5.37   desk model's gated
+#   16 @ 5x5     256, one bank each         5.68    6.77   heads
+#   32 @ 6x6     32, one bank each          2.20    2.46
+#   32 @ 7x7     32, one bank each          2.91    2.89
+#   16 @ 8x8     256, one bank each        15.4    12.2
+#
+# im2col copies k^2 * C values per output pixel and transposes the
+# output; with few output channels that copy outweighs the GEMM. The taps
+# make k^2 GEMMs per sample and k^2 - 1 passes over its output: with many
+# output channels those passes and the cropped pad columns cost more than
+# the copy saves, and on small maps the k^2 BLAS calls per sample of a
+# stack cost more than the whole im2col. The rule reads the shape of one
+# sample, never the stack size, so a stack of one and a stack of many take
+# the same path and give the same bits.
+SHIFTED_TAPS_MAX_CHANNELS = 128     # output channels C'
+SHIFTED_TAPS_MIN_PIXELS = 64        # output pixels H' * W'
+
+
+def batched_conv(x: np.ndarray, weights: np.ndarray, stride: int, pad: int,
+                 scale: np.ndarray | None = None) -> np.ndarray:
+    """Cross-correlate x (N, C, H, W) with weights (C', C, k, k) shared by
+    every sample, or (N, C', C, k, k), one bank per sample; returns
+    (N, C', H', W'), possibly a strided view.
+
+    scale (N, C), when given, multiplies input channel c of sample n; it
+    is applied while x is copied into its zero-padded buffer, a copy both
+    paths make anyway. Stride 1 runs shifted-tap GEMMs when C' <=
+    SHIFTED_TAPS_MAX_CHANNELS and H' * W' >= SHIFTED_TAPS_MIN_PIXELS;
+    everything else runs im2col and one GEMM (one per sample for
+    per-sample weights) whose rows follow the output pixels.
+    """
+    n = x.shape[0]
+    co, k = weights.shape[-4], weights.shape[-1]
+    oh = conv_output_size(x.shape[2], k, stride, pad)
+    ow = conv_output_size(x.shape[3], k, stride, pad)
+    if (stride == 1 and co <= SHIFTED_TAPS_MAX_CHANNELS
+            and oh * ow >= SHIFTED_TAPS_MIN_PIXELS):
+        return _shifted_taps(_padded(x, pad, scale), weights, oh, ow)
+    if scale is not None:
+        x, pad = _padded(x, pad, scale), 0
+    cols, _, _ = im2col(x, k, stride, pad)
+    if weights.ndim == 4:
+        y = cols @ weights.reshape(co, -1).T
+    else:
+        y = np.matmul(cols.reshape(n, oh * ow, -1),
+                      weights.reshape(n, co, -1).transpose(0, 2, 1))
+    return y.reshape(n, oh, ow, co).transpose(0, 3, 1, 2)
+
+
+def _padded(x: np.ndarray, pad: int, scale: np.ndarray | None) -> np.ndarray:
+    """x zero-padded by pad on each spatial side, times scale (N, C) when
+    given."""
+    n, c, h, w = x.shape
+    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
+    np.multiply(x, 1.0 if scale is None else scale[:, :, None, None],
+                out=xp[:, :, pad:pad + h, pad:pad + w])
+    return xp
+
+
+def _shifted_taps(xp: np.ndarray, weights: np.ndarray, oh: int,
+                  ow: int) -> np.ndarray:
+    """Stride-1 convolution of the padded input xp without a patch matrix
+    (low-memory GEMM convolution): flatten each sample's padded planes;
+    tap (a, b) then reads the contiguous slice that starts a * W_pad + b
+    further on, and output pixel (i, j) is flat position i * W_pad + j of
+    the sum of k^2 GEMMs W[:, :, a, b] @ slice. The W_pad - W' positions
+    past each output row are computed and cropped."""
+    n, c, hp, wp = xp.shape
+    co, k = weights.shape[-4], weights.shape[-1]
+    xp = xp.reshape(n, c, hp * wp)
+    # taps[a * k + b]: tap (a, b)'s (C', C) or (N, C', C) bank, C-contiguous
+    # so that BLAS takes it without a copy.
+    taps = np.ascontiguousarray(
+        np.moveaxis(weights.reshape(*weights.shape[:-2], k * k), -1, 0))
+    span = (oh - 1) * wp + ow
+    y = np.empty((n, co, oh * wp))
+    acc, part = y[:, :, :span], np.empty((n, co, span))
+    for t in range(k * k):
+        off = t // k * wp + t % k
+        if t == 0:
+            np.matmul(taps[t], xp[:, :, off:off + span], out=acc)
+        else:
+            np.matmul(taps[t], xp[:, :, off:off + span], out=part)
+            acc += part
+    return y.reshape(n, co, oh, wp)[:, :, :, :ow]
 
 
 def conv2d_backward(x: np.ndarray, filt: ConvFilter,

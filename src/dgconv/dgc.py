@@ -20,10 +20,13 @@ saliency on kept channels, 0 elsewhere) and runs one im2col, one GEMM for
 all heads and, backward, one col2im; the saliency gradient follows from
 <col2im(G), x> = <G, im2col(x)>. Filter slices of channels no sample
 selected get exactly zero gradient. Evaluation gathers: per head, samples
-are grouped by kept count, and each group is one gathered_conv call, one
-im2col and one stacked GEMM whose per-sample GEMM keeps the batch-1 shape;
-the index plan calls it on a stack of one, so plans reproduce evaluation
-bit for bit.
+are grouped by kept count, and each group is one gathered_conv call, a
+core.batched_conv with one bank per sample whose per-sample GEMMs keep
+the batch-1 shape: k^2 shifted-tap GEMMs where core's rule picks them
+(stride 1, output maps of 8x8 and up), else one im2col; either way the
+saliency scales the slices while they are copied into their padded
+buffer. The index plan calls gathered_conv on a stack of one, so plans
+reproduce evaluation bit for bit.
 """
 
 from __future__ import annotations
@@ -33,7 +36,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ConvFilter, col2im, conv2d_forward, conv_output_size, im2col
+from .core import (ConvFilter, batched_conv, col2im, conv2d_forward,
+                   conv_output_size, im2col)
 
 __all__ = [
     "DgcLayerConfig",
@@ -49,7 +53,6 @@ __all__ = [
     "gather_filters",
     "gathered_conv",
     "channel_shuffle",
-    "channel_unshuffle",
     "dgc_forward",
     "dgc_backward",
     "DgcForward",
@@ -261,15 +264,11 @@ def gathered_conv(x: np.ndarray, rows: np.ndarray | int,
     """The sparse DGC kernel, (r, C_out, H', W') out: entry j of the stack
     is x[rows[j]] restricted to channels indices[j] (r, kc), scaled by
     amplify[j] (r, kc) and convolved with banks[j] (r, C_out, kc, k, k).
-    One im2col unfolds the stack and one stacked matmul convolves it; each
-    entry's GEMM keeps the shape and C order a batch of one gives, so its
+    core.batched_conv convolves the stack with one bank per entry; each
+    entry's GEMMs keep the shape and C order a stack of one gives, so its
     output does not depend on the rest of the stack; kc = 0 gives zeros."""
-    r, co, kc, k, _ = banks.shape
-    xs = x[np.reshape(rows, (-1, 1)), indices] * amplify[:, :, None, None]
-    cols, oh, ow = im2col(xs, k, stride, padding)
-    wmat = np.ascontiguousarray(banks).reshape(r, co, kc * k * k)
-    y = np.matmul(cols.reshape(r, oh * ow, kc * k * k), wmat.transpose(0, 2, 1))
-    return y.reshape(r, oh, ow, co).transpose(0, 3, 1, 2)
+    xs = x[np.reshape(rows, (-1, 1)), indices]
+    return batched_conv(xs, banks, stride, padding, scale=amplify)
 
 
 def channel_shuffle(x: np.ndarray, heads: int) -> np.ndarray:
@@ -279,15 +278,6 @@ def channel_shuffle(x: np.ndarray, heads: int) -> np.ndarray:
         raise ValueError(f"channel count {c} not divisible by {heads} heads")
     return np.ascontiguousarray(
         x.reshape(n, heads, c // heads, h, w).transpose(0, 2, 1, 3, 4)).reshape(n, c, h, w)
-
-
-def channel_unshuffle(x: np.ndarray, heads: int) -> np.ndarray:
-    """Exact inverse of channel_shuffle with the same head count."""
-    n, c, h, w = x.shape
-    if c % heads != 0:
-        raise ValueError(f"channel count {c} not divisible by {heads} heads")
-    return np.ascontiguousarray(
-        x.reshape(n, c // heads, heads, h, w).transpose(0, 2, 1, 3, 4)).reshape(n, c, h, w)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +363,7 @@ def dgc_forward(x: np.ndarray, layer: DgcLayer,
                 dst[rows] = 0.0
                 continue
             idx = np.nonzero(mask[rows])[1].reshape(rows.size, kc)
-            banks = head.filters[np.arange(co)[:, None], idx[:, None]]
+            banks = np.moveaxis(gather_filters(head.filters, idx), 1, 0)
             dst[rows] = gathered_conv(x, rows, idx, g[rows[:, None], idx],
                                       banks, stride, pad)
 

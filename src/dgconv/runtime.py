@@ -4,7 +4,7 @@ An index plan freezes one sample's gating decisions into pre-gathered
 filter slices so the sparse convolution runs as a dense one on a reduced
 channel set. Plan execution reproduces the reference evaluation forward
 bit for bit because both call the same kernel, dgc.gathered_conv, whose
-per-sample GEMM has the same shape in a stack of one as in a batch.
+per-sample GEMMs have the same shape in a stack of one as in a batch.
 
 MAC counts follow the standard conv cost k^2*C'*C*H'*W' and the DGC
 decomposition into per-head saliency cost 2*C^2/d and reduced conv cost
@@ -28,7 +28,6 @@ from .core import ConvFilter, conv2d_forward, conv_output_size
 from .dgc import (
     DgcLayer,
     GateDecision,
-    channel_shuffle,
     gather_filters,
     gathered_conv,
     headwise_gate,
@@ -184,10 +183,25 @@ def execute_plan(plan: IndexPlan, x_sample: np.ndarray) -> np.ndarray:
     if x_sample.ndim != 3 or x_sample.shape[0] != plan.in_channels:
         raise ValueError(f"plan expects ({plan.in_channels}, H, W) input, "
                          f"got {x_sample.shape}")
-    outs = [gathered_conv(x_sample[None], 0, idx[None], amp[None], bank[None],
-                          plan.stride, plan.padding)[0]
-            for idx, amp, bank in zip(plan.indices, plan.amplify, plan.filters)]
-    return channel_shuffle(np.concatenate(outs)[None], plan.heads)[0]
+    out = _shuffled_output(plan.heads, plan.filters[0].shape, x_sample.shape,
+                           plan.stride, plan.padding)
+    for h, (idx, amp, bank) in enumerate(zip(plan.indices, plan.amplify,
+                                             plan.filters)):
+        out[h::plan.heads] = gathered_conv(x_sample[None], 0, idx[None],
+                                           amp[None], bank[None], plan.stride,
+                                           plan.padding)[0]
+    return out
+
+
+def _shuffled_output(heads: int, bank_shape: tuple[int, ...],
+                     x_shape: tuple[int, ...], stride: int,
+                     padding: int) -> np.ndarray:
+    """Uninitialized (heads * C'/heads, H', W') output of one sample;
+    head h fills channels h, h + heads, ..., its slots after the shuffle."""
+    co, k = bank_shape[0], bank_shape[-1]
+    return np.empty((heads * co,
+                     conv_output_size(x_shape[-2], k, stride, padding),
+                     conv_output_size(x_shape[-1], k, stride, padding)))
 
 
 # ---------------------------------------------------------------------------
@@ -311,25 +325,26 @@ def _median_iqr(samples: np.ndarray) -> tuple[float, float]:
 
 def _dgc_instrumented(x, heads_params, prune_rate, stride, padding):
     """One batch-1 DGC forward, returning (saliency, index, conv) seconds;
-    concat + shuffle are accounted to the conv phase so the three
-    components partition the whole call."""
+    each head's write into its shuffled output channels is accounted to
+    the conv phase so the three components partition the whole call."""
     sal = idx_t = conv = 0.0
-    outs = []
-    for head in heads_params:
+    heads = len(heads_params)
+    out = _shuffled_output(heads, heads_params[0].filters.shape, x.shape,
+                           stride, padding)
+    for h, head in enumerate(heads_params):
         t0 = time.perf_counter()
         g = saliency_forward(x, head)[0]
         t1 = time.perf_counter()
         dec = headwise_gate(g, prune_rate)
         bank = gather_filters(head.filters, dec.indices)
         t2 = time.perf_counter()
-        outs.append(gathered_conv(x, 0, dec.indices[None], dec.amplify[None],
-                                  bank[None], stride, padding)[0])
+        out[h::heads] = gathered_conv(x, 0, dec.indices[None],
+                                      dec.amplify[None], bank[None], stride,
+                                      padding)[0]
         t3 = time.perf_counter()
         sal += t1 - t0
         idx_t += t2 - t1
         conv += t3 - t2
-    channel_shuffle(np.concatenate(outs)[None], len(heads_params))
-    conv += time.perf_counter() - t3
     return sal, idx_t, conv
 
 

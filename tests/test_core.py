@@ -6,6 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from dgconv import core
 from dgconv.core import (
     SGD,
     BatchNorm2d,
@@ -80,6 +81,83 @@ class TestConvForward:
         a = conv2d_forward(x, f)
         b = conv2d_forward(x.copy(), ConvFilter(f.weights.copy(), 1, 1))
         npt.assert_array_equal(a, b)
+
+
+class TestBatchedConv:
+    """core.batched_conv, on both of its stride-1 paths, against the naive
+    loops; the rule's constants are patched to force a path."""
+
+    @staticmethod
+    def run(monkeypatch, path, *args, **kwargs):
+        """batched_conv with the path forced; asserts the path it took."""
+        monkeypatch.setattr(core, "SHIFTED_TAPS_MIN_PIXELS",
+                            0 if path == "shifted" else 10 ** 9)
+        calls, unfold = [], core.im2col
+        monkeypatch.setattr(core, "im2col",
+                            lambda *a: calls.append(1) or unfold(*a))
+        y = core.batched_conv(*args, **kwargs)
+        assert len(calls) == (path == "im2col")
+        return y
+
+    @pytest.mark.parametrize("path", ["shifted", "im2col"])
+    @pytest.mark.parametrize("r", [1, 5])
+    @pytest.mark.parametrize("pad", [0, 1, 2])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_matches_naive_loops(self, rng, monkeypatch, k, pad, r, path):
+        x = rng.normal(size=(r, 3, 6, 9))        # non-square maps
+        shared = rng.normal(size=(4, 3, k, k))
+        y = self.run(monkeypatch, path, x, shared, 1, pad)
+        npt.assert_allclose(y, naive_conv2d(x, shared, 1, pad), atol=1e-10)
+        # One bank per sample, input channels scaled per sample.
+        banks = rng.normal(size=(r, 4, 3, k, k))
+        scale = rng.normal(size=(r, 3))
+        y = self.run(monkeypatch, path, x, banks, 1, pad, scale=scale)
+        for j in range(r):
+            ref = naive_conv2d(x[j:j + 1] * scale[j][:, None, None], banks[j],
+                               1, pad)
+            npt.assert_allclose(y[j:j + 1], ref, atol=1e-10)
+
+    @pytest.mark.parametrize("path", ["shifted", "im2col"])
+    def test_no_input_channels_give_zeros(self, monkeypatch, path):
+        x = np.empty((5, 0, 6, 9))
+        y = self.run(monkeypatch, path, x, np.empty((5, 4, 0, 3, 3)), 1, 1,
+                     scale=np.empty((5, 0)))
+        npt.assert_array_equal(y, np.zeros((5, 4, 6, 9)))
+
+    @pytest.mark.parametrize("path", ["shifted", "im2col"])
+    def test_stack_entry_independent_of_stack(self, rng, monkeypatch, path):
+        x = rng.normal(size=(5, 6, 10, 10))
+        banks = rng.normal(size=(5, 4, 6, 3, 3))
+        scale = rng.normal(size=(5, 6))
+        whole = self.run(monkeypatch, path, x, banks, 1, 1, scale=scale)
+        for j in range(5):
+            npt.assert_array_equal(
+                self.run(monkeypatch, path, x[j:j + 1], banks[j:j + 1], 1, 1,
+                         scale=scale[j:j + 1])[0], whole[j])
+
+    @pytest.mark.parametrize("c,co,hw,stack,shifted", [
+        (16, 16, 56, 1, True),      # gated head slices of a 64 @ 56x56 layer
+        (64, 64, 14, 1, True),
+        (128, 128, 28, 1, True),
+        (256, 256, 14, 1, False),   # too many output channels
+        (16, 16, 4, 3, False),      # the desk model's 4x4 gated heads
+        (16, 16, 8, 3, True),
+    ])
+    def test_rule_picks_path_by_shape(self, rng, monkeypatch, c, co, hw, stack,
+                                      shifted):
+        assert (co <= core.SHIFTED_TAPS_MAX_CHANNELS
+                and hw * hw >= core.SHIFTED_TAPS_MIN_PIXELS) == shifted
+        calls, unfold = [], core.im2col
+        monkeypatch.setattr(core, "im2col",
+                            lambda *a: calls.append(1) or unfold(*a))
+        x = rng.normal(size=(stack, c, hw, hw))
+        core.batched_conv(x, rng.normal(size=(co, c, 3, 3)), 1, 1)
+        core.batched_conv(x, rng.normal(size=(co, c, 3, 3)), 2, 1)
+        assert len(calls) == 2 - shifted    # stride 2 always unfolds
+
+    def test_empty_output_rejected(self):
+        with pytest.raises(ValueError, match="empty output"):
+            core.batched_conv(np.ones((1, 1, 2, 2)), np.ones((1, 1, 3, 3)), 1, 0)
 
 
 class TestConvBackward:

@@ -20,7 +20,6 @@ from dgconv.dgc import (
     GlobalGating,
     HeadwiseGating,
     channel_shuffle,
-    channel_unshuffle,
     dgc_backward,
     dgc_forward,
     gather_filters,
@@ -183,9 +182,10 @@ class TestShuffle:
         y = channel_shuffle(x, 2)
         npt.assert_array_equal(y[0, :, 0, 0], [0, 4, 1, 5, 2, 6, 3, 7])
 
-    def test_unshuffle_inverts(self):
+    def test_shuffle_by_slots_inverts(self):
+        # Shuffling C channels by C // heads undoes shuffling them by heads.
         x = np.random.default_rng(3).normal(size=(2, 12, 3, 3))
-        npt.assert_array_equal(channel_unshuffle(channel_shuffle(x, 4), 4), x)
+        npt.assert_array_equal(channel_shuffle(channel_shuffle(x, 4), 12 // 4), x)
 
     def test_one_head_identity(self):
         x = np.random.default_rng(4).normal(size=(1, 5, 2, 2))
@@ -199,8 +199,8 @@ class TestShuffle:
     @settings(max_examples=40, deadline=None)
     def test_round_trip_property(self, heads, slots, seed):
         x = np.random.default_rng(seed).normal(size=(2, heads * slots, 2, 2))
-        npt.assert_array_equal(channel_unshuffle(channel_shuffle(x, heads), heads), x)
-        npt.assert_array_equal(channel_shuffle(channel_unshuffle(x, heads), heads), x)
+        npt.assert_array_equal(channel_shuffle(channel_shuffle(x, heads), slots), x)
+        npt.assert_array_equal(channel_shuffle(channel_shuffle(x, slots), heads), x)
 
 
 class TestSaliency:

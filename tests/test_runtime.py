@@ -222,6 +222,29 @@ class TestBatchedEvaluation:
                 execute_plan(plan_from_forward(layer, fwd, s), x[s]),
                 fwd.output[s])
 
+    @pytest.mark.parametrize("mode", ["headwise", "global"])
+    def test_shifted_taps_batch_matches_plans(self, rng, monkeypatch, mode):
+        from dgconv import core
+
+        layer = make_layer(c=16, cp=8, heads=4, seed=9)
+        x = rng.normal(size=(6, 16, 9, 10))
+        gating = HeadwiseGating(0.5)
+        if mode == "global":
+            g = np.abs(dgc_forward(x, layer, GlobalGating(0.0),
+                                   training=False).saliencies)
+            gating = GlobalGating(float(np.quantile(g, 0.6)))
+        unfolds, im2col = [], core.im2col
+        monkeypatch.setattr(core, "im2col",
+                            lambda *a: unfolds.append(1) or im2col(*a))
+        fwd = dgc_forward(x, layer, gating, training=False)
+        assert 9 * 10 >= core.SHIFTED_TAPS_MIN_PIXELS and not unfolds
+        if mode == "global":    # uneven kept counts: several stacks per head
+            assert any(np.unique(m.sum(axis=1)).size > 2 for m in fwd.masks)
+        for s in range(6):
+            npt.assert_array_equal(
+                execute_plan(plan_from_forward(layer, fwd, s), x[s]),
+                fwd.output[s])
+
     def test_one_kernel_call_per_head_and_kept_count(self, rng, monkeypatch):
         from dgconv import dgc
 
