@@ -55,6 +55,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="dgconv",
                      description="Dynamic group convolution toolkit.")
@@ -64,7 +71,7 @@ def build_parser() -> _Parser:
     def common(p, *, seed_default=None):
         p.add_argument("--seed", type=int, default=seed_default,
                        help="override the run seed (default: from config)")
-        p.add_argument("--threads", type=int, default=1,
+        p.add_argument("--threads", type=positive_int, default=1,
                        help="BLAS thread cap (default 1)")
 
     p = sub.add_parser("train",
@@ -88,7 +95,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", help="also write the table to this CSV file")
     p.add_argument("--train-count", type=int, default=2000)
     p.add_argument("--eval-count", type=int, default=400)
-    p.add_argument("--batch-size", type=int, default=256)
+    p.add_argument("--batch-size", type=positive_int, default=256)
     common(p)
     p.set_defaults(func=cmd_eval)
 

@@ -4,7 +4,8 @@ A DGC layer splits its output channels across several heads. Each head
 scores every input channel with a small squeeze-expand saliency generator,
 keeps only the highest-scoring channels, amplifies the survivors by their
 saliency, and convolves them with the matching slices of its filter bank.
-Head outputs are concatenated and shuffled so downstream layers mix
+Head h writes output channels h, h + heads, h + 2 * heads, ..., so the
+layer's output is already channel-shuffled and downstream layers mix
 information across heads.
 
 Two gating modes exist:
@@ -19,14 +20,15 @@ Training folds the gate into per-sample filters W * g_hat (g_hat: the
 saliency on kept channels, 0 elsewhere) and runs one im2col, one GEMM for
 all heads and, backward, one col2im; the saliency gradient follows from
 <col2im(G), x> = <G, im2col(x)>. Filter slices of channels no sample
-selected get exactly zero gradient. Evaluation gathers: per head, samples
-are grouped by kept count, and each group is one gathered_conv call, a
-core.batched_conv with one bank per sample whose per-sample GEMMs keep
-the batch-1 shape: k^2 shifted-tap GEMMs where core's rule picks them
-(stride 1, output maps of 8x8 and up), else one im2col; either way the
-saliency scales the slices while they are copied into their padded
-buffer. The index plan calls gathered_conv on a stack of one, so plans
-reproduce evaluation bit for bit.
+selected get exactly zero gradient. Evaluation runs three phases, each
+timed by the batch-1 benchmark: saliency (pool once, every head's MLP),
+index (gate; per head and kept count the sample rows, channel indices
+and amplifications) and conv (per group the gathered banks and one
+gathered_conv: a core.batched_conv with one bank per sample whose
+per-sample GEMMs keep the batch-1 shape, shifted taps or im2col by core's
+rule, the saliency scaling the slices as they are padded). The index
+plan calls gathered_conv on a stack of one, so plans reproduce evaluation
+bit for bit.
 """
 
 from __future__ import annotations
@@ -36,8 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (ConvFilter, batched_conv, col2im, conv2d_forward,
-                   conv_output_size, im2col)
+from .core import ConvFilter, batched_conv, col2im, conv_output_size, im2col
 
 __all__ = [
     "DgcLayerConfig",
@@ -47,9 +48,6 @@ __all__ = [
     "HeadwiseGating",
     "GlobalGating",
     "init_dgc_layer",
-    "saliency_forward",
-    "headwise_gate",
-    "select_and_amplify",
     "gather_filters",
     "gathered_conv",
     "channel_shuffle",
@@ -163,19 +161,6 @@ def init_dgc_layer(config: DgcLayerConfig, rng: np.random.Generator,
 # Saliency generation
 # ---------------------------------------------------------------------------
 
-def saliency_forward(x: np.ndarray, head: HeadParams,
-                     keep_sign: bool = False) -> np.ndarray:
-    """Per-channel importance scores, one row per sample; shape (N, C).
-
-    Squeeze-expand transform over globally pooled channel statistics:
-    relu inside, relu outside unless keep_sign keeps negative saliencies.
-    """
-    if x.ndim != 4 or x.shape[1] != head.w_squeeze.shape[1]:
-        raise ValueError(f"saliency input must be (N, {head.w_squeeze.shape[1]}, H, W), "
-                         f"got {x.shape}")
-    return _saliency(x.mean(axis=(2, 3)), head, keep_sign)[-1]
-
-
 def _saliency(p: np.ndarray, head: HeadParams, keep_sign: bool):
     """Saliency MLP on pooled channel means p (N, C); returns the
     intermediates training caches, (z1, a1, z2, g), g last."""
@@ -195,7 +180,6 @@ class GateDecision:
 
     indices: np.ndarray
     amplify: np.ndarray
-    threshold: float
 
     def __post_init__(self) -> None:
         self.indices = np.asarray(self.indices, dtype=np.int64)
@@ -216,38 +200,12 @@ class GlobalGating:
     threshold: float
 
 
-def headwise_gate(g: np.ndarray, prune_rate: float) -> GateDecision:
-    """Keep the ceil((1 - prune_rate) * C) largest saliencies of one vector.
-
-    Ties break toward the lower channel index; the reported threshold is
-    the smallest selected saliency.
-    """
-    g = np.asarray(g, dtype=np.float64)
-    if g.ndim != 1:
-        raise ValueError("headwise_gate expects a single saliency vector")
-    sel = np.flatnonzero(_gate_masks(g[None], HeadwiseGating(prune_rate)))
-    return GateDecision(sel, g[sel], float(g[sel].min()))
-
-
 def _topk_mask(g: np.ndarray, k: int) -> np.ndarray:
     """Boolean keep-mask of the k largest entries per row, ties to lower index."""
     order = np.argsort(-g, axis=1, kind="stable")
     mask = np.zeros(g.shape, dtype=bool)
     np.put_along_axis(mask, order[:, :k], True, axis=1)
     return mask
-
-
-def select_and_amplify(x: np.ndarray, decision: GateDecision) -> np.ndarray:
-    """Gather the decided channels and scale each by its amplification.
-
-    Works on (C, H, W) or (N, C, H, W); the channel axis is axis -3.
-    """
-    if x.ndim not in (3, 4):
-        raise ValueError(f"expected 3-D or 4-D input, got shape {x.shape}")
-    c = x.shape[-3]
-    if decision.indices.size and (decision.indices[0] < 0 or decision.indices[-1] >= c):
-        raise ValueError(f"decision indices out of range for {c} channels")
-    return x[..., decision.indices, :, :] * decision.amplify[..., :, None, None]
 
 
 def gather_filters(filters: np.ndarray, indices: np.ndarray) -> np.ndarray:
@@ -292,20 +250,13 @@ class DgcForward:
     output: np.ndarray
     saliencies: list[np.ndarray]        # per head, (N, C)
     masks: list[np.ndarray]             # per head, (N, C) bool
-    gating: HeadwiseGating | GlobalGating
     keep_sign: bool
     _cache: dict | None = field(default=None, repr=False)
 
     def decision(self, head: int, sample: int) -> GateDecision:
         """The gate decision of one sample in one head."""
         g, idx = self.saliencies[head][sample], np.flatnonzero(self.masks[head][sample])
-        t = (self.gating.threshold if isinstance(self.gating, GlobalGating)
-             else float(g[idx].min()) if idx.size else 0.0)
-        return GateDecision(idx, g[idx], t)
-
-    def decisions(self, head: int) -> list[GateDecision]:
-        """Materialize per-sample gate decisions for one head."""
-        return [self.decision(head, s) for s in range(self.masks[head].shape[0])]
+        return GateDecision(idx, g[idx])
 
     @property
     def realized_prune_rate(self) -> float:
@@ -315,6 +266,9 @@ class DgcForward:
 
 
 def _gate_masks(g: np.ndarray, gating: HeadwiseGating | GlobalGating) -> np.ndarray:
+    """Keep-masks of the saliency rows g (N, C): the top-k of each row
+    (ties to the lower index) or every |saliency| at or above the global
+    threshold."""
     if isinstance(gating, HeadwiseGating):
         if not 0.0 <= gating.prune_rate < 1.0:
             raise ValueError(f"prune_rate must be in [0, 1), got {gating.prune_rate}")
@@ -325,6 +279,57 @@ def _gate_masks(g: np.ndarray, gating: HeadwiseGating | GlobalGating) -> np.ndar
     return np.abs(g) >= gating.threshold
 
 
+def _saliency_phase(x: np.ndarray, layer: DgcLayer, keep_sign: bool):
+    """Pool x once and run every head's saliency MLP on the channel means;
+    returns the means and, per head, _saliency's (z1, a1, z2, g)."""
+    p = x.mean(axis=(2, 3))
+    return p, [_saliency(p, head, keep_sign) for head in layer.heads]
+
+
+def _index_phase(layer: DgcLayer, saliencies: list[np.ndarray],
+                 gating: HeadwiseGating | GlobalGating):
+    """Gate every head; returns the masks and, per head, one
+    (rows, indices, amplify) group per kept count: the samples, their
+    kept channels (rows.size, kc) and those channels' saliencies."""
+    masks = [_gate_masks(g, gating) for g in saliencies]
+    groups = []
+    for g, mask in zip(saliencies, masks):
+        counts = mask.sum(axis=1)
+        head_groups = []
+        for kc in np.unique(counts):
+            rows = np.flatnonzero(counts == kc)
+            idx = np.nonzero(mask[rows])[1].reshape(rows.size, kc)
+            head_groups.append((rows, idx, g[rows[:, None], idx]))
+        groups.append(head_groups)
+    return masks, groups
+
+
+def _empty_output(x: np.ndarray, cfg: DgcLayerConfig) -> np.ndarray:
+    k, stride, pad = cfg.kernel_size, cfg.stride, cfg.padding
+    return np.empty((x.shape[0], cfg.out_channels,
+                     conv_output_size(x.shape[2], k, stride, pad),
+                     conv_output_size(x.shape[3], k, stride, pad)))
+
+
+def _conv_phase(x: np.ndarray, layer: DgcLayer, groups) -> np.ndarray:
+    """Per group of _index_phase, gather the filter banks and make one
+    gathered_conv call, written into the head's shuffled output
+    channels; a group that kept nothing writes zeros. Banks are gathered
+    one group at a time, so a layer never holds every head's at once."""
+    cfg = layer.config
+    stride, pad = cfg.stride, cfg.padding
+    out = _empty_output(x, cfg)
+    for h, (head, head_groups) in enumerate(zip(layer.heads, groups)):
+        dst = out[:, h::cfg.heads]      # head h's channels after the shuffle
+        for rows, idx, amp in head_groups:
+            if idx.shape[1] == 0:
+                dst[rows] = 0.0
+                continue
+            banks = np.moveaxis(gather_filters(head.filters, idx), 1, 0)
+            dst[rows] = gathered_conv(x, rows, idx, amp, banks, stride, pad)
+    return out
+
+
 def dgc_forward(x: np.ndarray, layer: DgcLayer,
                 gating: HeadwiseGating | GlobalGating, *,
                 training: bool = True) -> DgcForward:
@@ -333,42 +338,29 @@ def dgc_forward(x: np.ndarray, layer: DgcLayer,
     Output shape is (N, C', H', W') regardless of how many channels each
     head kept. Training runs one GEMM of im2col(x) with per-sample gated
     filters and caches intermediates for dgc_backward; evaluation runs
-    one gathered_conv per head and kept count.
+    the saliency, index and conv phases, one gathered_conv per head and
+    kept count.
     """
     cfg = layer.config
     if x.ndim != 4 or x.shape[1] != cfg.in_channels:
         raise ValueError(f"dgc input must be (N, {cfg.in_channels}, H, W), got {x.shape}")
     keep_sign = isinstance(gating, GlobalGating)
+    p, mlps = _saliency_phase(x, layer, keep_sign)
+    saliencies = [g for *_, g in mlps]
+    if not training:
+        masks, groups = _index_phase(layer, saliencies, gating)
+        return DgcForward(_conv_phase(x, layer, groups), saliencies, masks,
+                          keep_sign)
+
+    # The GEMM's output buffer, allocated before im2col: allocating it
+    # after the patch matrix slowed the desk model's 8->16 training
+    # forward at batch 256 from 9.5 to 11.4 ms.
+    out = _empty_output(x, cfg)
+    masks = [_gate_masks(g, gating) for g in saliencies]
+    head_caches = [{"p": p, "z1": z1, "a1": a1, "z2": z2, "g": g, "mask": mask}
+                   for (z1, a1, z2, g), mask in zip(mlps, masks)]
     n, co = x.shape[0], cfg.head_out_channels
     k, stride, pad = cfg.kernel_size, cfg.stride, cfg.padding
-    out = np.empty((n, cfg.out_channels, conv_output_size(x.shape[2], k, stride, pad),
-                    conv_output_size(x.shape[3], k, stride, pad)))
-
-    p = x.mean(axis=(2, 3))
-    saliencies, masks, head_caches = [], [], []
-    for i, head in enumerate(layer.heads):
-        z1, a1, z2, g = _saliency(p, head, keep_sign)
-        mask = _gate_masks(g, gating)
-        saliencies.append(g)
-        masks.append(mask)
-        if training:
-            head_caches.append({"p": p, "z1": z1, "a1": a1, "z2": z2,
-                                "g": g, "mask": mask})
-            continue
-        dst = out[:, i::cfg.heads]      # head i's channels after the shuffle
-        counts = mask.sum(axis=1)
-        for kc in np.unique(counts):
-            rows = np.flatnonzero(counts == kc)
-            if kc == 0:
-                dst[rows] = 0.0
-                continue
-            idx = np.nonzero(mask[rows])[1].reshape(rows.size, kc)
-            banks = np.moveaxis(gather_filters(head.filters, idx), 1, 0)
-            dst[rows] = gathered_conv(x, rows, idx, g[rows[:, None], idx],
-                                      banks, stride, pad)
-
-    if not training:
-        return DgcForward(out, saliencies, masks, gating, keep_sign)
     # ghat (N, heads, C): the saliency on kept channels, exactly 0 elsewhere.
     ghat = np.where(np.stack(masks, axis=1), np.stack(saliencies, axis=1), 0.0)
     # Row o * heads + h of w is head h's filter o: the output lands shuffled.
@@ -377,7 +369,7 @@ def dgc_forward(x: np.ndarray, layer: DgcLayer,
     wn = (w * ghat[:, None, :, :, None]).reshape(n, cfg.out_channels, -1)
     cols = im2col(x, k, stride, pad)[0].reshape(n, -1, wn.shape[2])
     np.matmul(wn, cols.transpose(0, 2, 1), out=out.reshape(n, cfg.out_channels, -1))
-    return DgcForward(out, saliencies, masks, gating, keep_sign,
+    return DgcForward(out, saliencies, masks, keep_sign,
                       {"x": x, "cols": cols, "ghat": ghat, "w": w, "wn": wn,
                        "heads": head_caches})
 
@@ -470,23 +462,26 @@ def sgc_forward(x: np.ndarray, weights: np.ndarray, groups: int,
                 stride: int = 1, padding: int = 0) -> np.ndarray:
     """Standard group convolution: contiguous equal channel partitions.
 
-    weights has shape (C_out, C_in // groups, k, k).
+    weights has shape (C_out, C_in // groups, k, k); each group's
+    batched_conv is written straight into its slice of the output.
     """
+    filt = ConvFilter(weights, stride, padding)
     n, c, h, w = x.shape
-    co = weights.shape[0]
+    co, k = filt.out_channels, filt.kernel_size
     if c % groups != 0 or co % groups != 0:
         raise ValueError(f"channels ({c} in, {co} out) not divisible by "
                          f"{groups} groups")
-    if weights.shape[1] != c // groups:
-        raise ValueError(f"group filter expects {weights.shape[1]} in-channels per "
+    if filt.in_channels != c // groups:
+        raise ValueError(f"group filter expects {filt.in_channels} in-channels per "
                          f"group, input provides {c // groups}")
     ci_g, co_g = c // groups, co // groups
-    parts = []
+    out = np.empty((n, co, conv_output_size(h, k, stride, padding),
+                    conv_output_size(w, k, stride, padding)))
     for g in range(groups):
-        parts.append(conv2d_forward(
-            x[:, g * ci_g:(g + 1) * ci_g],
-            ConvFilter(weights[g * co_g:(g + 1) * co_g], stride, padding)))
-    return np.concatenate(parts, axis=1)
+        out[:, g * co_g:(g + 1) * co_g] = batched_conv(
+            x[:, g * ci_g:(g + 1) * ci_g], weights[g * co_g:(g + 1) * co_g],
+            stride, padding)
+    return out
 
 
 def sgc_backward(x: np.ndarray, weights: np.ndarray, groups: int,

@@ -19,14 +19,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dgc import _RANK_EPS, GateDecision, GlobalGating, _gate_masks
+from .dgc import _RANK_EPS
 
 __all__ = [
     "SaliencyLibrary",
     "GlobalThresholdState",
     "collect_saliencies",
     "compute_global_threshold",
-    "global_gate",
+    "is_update_epoch",
     "maybe_update_threshold",
     "angle_loss",
     "angle_loss_and_grad",
@@ -37,6 +37,13 @@ _NORM_EPS = 1e-12
 # Epochs between threshold recomputations (update fires on the third epoch
 # of each period, i.e. epoch % PERIOD == PERIOD - 1).
 UPDATE_PERIOD = 3
+
+
+def is_update_epoch(epoch: int) -> bool:
+    """Whether the threshold is recomputed at the end of this epoch, the
+    last of each UPDATE_PERIOD-epoch period; training fills the saliency
+    library during such epochs."""
+    return epoch % UPDATE_PERIOD == UPDATE_PERIOD - 1
 
 
 @dataclass
@@ -111,16 +118,6 @@ def compute_global_threshold(library: SaliencyLibrary, prune_rate: float) -> flo
     return float(np.partition(flat, rank)[rank])
 
 
-def global_gate(g: np.ndarray, threshold: float) -> GateDecision:
-    """Keep channels with |saliency| at or above the threshold, preserving
-    the saliency sign in the amplification. May select nothing."""
-    g = np.asarray(g, dtype=np.float64)
-    if g.ndim != 1:
-        raise ValueError("global_gate expects a single saliency vector")
-    idx = np.flatnonzero(_gate_masks(g[None], GlobalGating(threshold)))
-    return GateDecision(idx, g[idx], threshold)
-
-
 @dataclass
 class GlobalThresholdState:
     threshold: float | None = None
@@ -139,7 +136,7 @@ def maybe_update_threshold(state: GlobalThresholdState, epoch: int,
     """Epoch-end hook: recompute the threshold on the third epoch of every
     three-epoch period, otherwise leave the state untouched. An empty
     library keeps the previous threshold and emits a warning."""
-    if epoch % UPDATE_PERIOD != UPDATE_PERIOD - 1:
+    if not is_update_epoch(epoch):
         return state
     if len(library) == 0:
         warnings.warn(f"threshold update at epoch {epoch} skipped: "

@@ -5,6 +5,8 @@ filter slices so the sparse convolution runs as a dense one on a reduced
 channel set. Plan execution reproduces the reference evaluation forward
 bit for bit because both call the same kernel, dgc.gathered_conv, whose
 per-sample GEMMs have the same shape in a stack of one as in a batch.
+The batch-1 benchmark times dense and grouped convolutions next to the
+evaluation forward's own saliency, index and conv phases.
 
 MAC counts follow the standard conv cost k^2*C'*C*H'*W' and the DGC
 decomposition into per-head saliency cost 2*C^2/d and reduced conv cost
@@ -28,11 +30,13 @@ from .core import ConvFilter, conv2d_forward, conv_output_size
 from .dgc import (
     DgcLayer,
     GateDecision,
+    HeadwiseGating,
+    _conv_phase,
+    _index_phase,
+    _saliency_phase,
     gather_filters,
     gathered_conv,
-    headwise_gate,
     kept_channels,
-    saliency_forward,
     sgc_forward,
 )
 
@@ -183,25 +187,16 @@ def execute_plan(plan: IndexPlan, x_sample: np.ndarray) -> np.ndarray:
     if x_sample.ndim != 3 or x_sample.shape[0] != plan.in_channels:
         raise ValueError(f"plan expects ({plan.in_channels}, H, W) input, "
                          f"got {x_sample.shape}")
-    out = _shuffled_output(plan.heads, plan.filters[0].shape, x_sample.shape,
-                           plan.stride, plan.padding)
+    co, k = plan.filters[0].shape[0], plan.filters[0].shape[-1]
+    s, p = plan.stride, plan.padding
+    out = np.empty((plan.heads * co, conv_output_size(x_sample.shape[1], k, s, p),
+                    conv_output_size(x_sample.shape[2], k, s, p)))
     for h, (idx, amp, bank) in enumerate(zip(plan.indices, plan.amplify,
                                              plan.filters)):
+        # head h fills channels h, h + heads, ..., its slots after the shuffle
         out[h::plan.heads] = gathered_conv(x_sample[None], 0, idx[None],
-                                           amp[None], bank[None], plan.stride,
-                                           plan.padding)[0]
+                                           amp[None], bank[None], s, p)[0]
     return out
-
-
-def _shuffled_output(heads: int, bank_shape: tuple[int, ...],
-                     x_shape: tuple[int, ...], stride: int,
-                     padding: int) -> np.ndarray:
-    """Uninitialized (heads * C'/heads, H', W') output of one sample;
-    head h fills channels h, h + heads, ..., its slots after the shuffle."""
-    co, k = bank_shape[0], bank_shape[-1]
-    return np.empty((heads * co,
-                     conv_output_size(x_shape[-2], k, stride, padding),
-                     conv_output_size(x_shape[-1], k, stride, padding)))
 
 
 # ---------------------------------------------------------------------------
@@ -323,31 +318,6 @@ def _median_iqr(samples: np.ndarray) -> tuple[float, float]:
     return float(med), float(q3 - q1)
 
 
-def _dgc_instrumented(x, heads_params, prune_rate, stride, padding):
-    """One batch-1 DGC forward, returning (saliency, index, conv) seconds;
-    each head's write into its shuffled output channels is accounted to
-    the conv phase so the three components partition the whole call."""
-    sal = idx_t = conv = 0.0
-    heads = len(heads_params)
-    out = _shuffled_output(heads, heads_params[0].filters.shape, x.shape,
-                           stride, padding)
-    for h, head in enumerate(heads_params):
-        t0 = time.perf_counter()
-        g = saliency_forward(x, head)[0]
-        t1 = time.perf_counter()
-        dec = headwise_gate(g, prune_rate)
-        bank = gather_filters(head.filters, dec.indices)
-        t2 = time.perf_counter()
-        out[h::heads] = gathered_conv(x, 0, dec.indices[None],
-                                      dec.amplify[None], bank[None], stride,
-                                      padding)[0]
-        t3 = time.perf_counter()
-        sal += t1 - t0
-        idx_t += t2 - t1
-        conv += t3 - t2
-    return sal, idx_t, conv
-
-
 _VARIANTS = ("dense", "sgc", "dgc")
 
 
@@ -360,9 +330,11 @@ def run_benchmark(shapes: list[tuple[int, int, int, int]],
     """Time dense, SGC, and DGC batch-1 forwards on (C, C', H, k) shapes.
 
     All variants of a shape see the same input tensor, and their
-    repetitions are interleaved.  DGC runs are instrumented so the
-    reported saliency/index/conv components partition the measured call.
-    Rows record the BLAS thread count that actually ran (0: unpinned).
+    repetitions are interleaved.  The DGC variant runs the evaluation
+    forward's own saliency, index and conv phases (dgc_forward with
+    training=False) and times each, so the reported components partition
+    the measured call.  Rows record the BLAS thread count that actually
+    ran (0: unpinned).
     """
     from .dgc import DgcLayerConfig, init_dgc_layer
 
@@ -374,6 +346,7 @@ def run_benchmark(shapes: list[tuple[int, int, int, int]],
     if repeats < 1:
         raise ValueError("repeats must be positive")
     rng = np.random.default_rng(seed)
+    gating = HeadwiseGating(prune_rate)
     results = []
     with _limit_threads(threads) as pinned:
         for c, cp, hw, k in shapes:
@@ -397,7 +370,13 @@ def run_benchmark(shapes: list[tuple[int, int, int, int]],
                 sgc_forward(x, group_w, groups, 1, pad)
 
             def dgc():
-                return _dgc_instrumented(x, layer.heads, prune_rate, 1, pad)
+                t0 = time.perf_counter()
+                mlps = _saliency_phase(x, layer, False)[1]
+                t1 = time.perf_counter()
+                stacks = _index_phase(layer, [g for *_, g in mlps], gating)[1]
+                t2 = time.perf_counter()
+                _conv_phase(x, layer, stacks)
+                return t1 - t0, t2 - t1, time.perf_counter() - t2
 
             fns = {"dense": dense, "sgc": sgc, "dgc": dgc}
             samples, inners, returned = _time_interleaved(

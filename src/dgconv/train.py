@@ -38,6 +38,7 @@ from .global_threshold import (
     angle_loss,
     angle_loss_and_grad,
     collect_saliencies,
+    is_update_epoch,
     maybe_update_threshold,
 )
 from .model import DgcNetwork, build_network
@@ -152,7 +153,7 @@ def train_epoch(net: DgcNetwork, optimizer: SGD, data: DatasetSource,
 
     n_batches = math.ceil(len(data) / config.batch_size)
     collect_from = max(0, n_batches - config.collection_iterations) \
-        if (library is not None and epoch % 3 == 2) else n_batches
+        if (library is not None and is_update_epoch(epoch)) else n_batches
 
     seen = correct = 0
     sums = {"ce": 0.0, "lasso": 0.0, "angle": 0.0, "total": 0.0, "rate": 0.0}

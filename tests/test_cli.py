@@ -218,6 +218,15 @@ class TestEval:
         assert main(["eval", "--checkpoint", ckpt, *DATA_ARGS]) == EXIT_USAGE
         assert "rng_state" in capsys.readouterr().err
 
+    def test_batch_size_below_one_is_usage_error(self, tmp_path, cfg_path,
+                                                 capsys):
+        _, out = run_train(tmp_path, cfg_path, extra=["--epochs", "1"])
+        capsys.readouterr()
+        code = main(["eval", "--checkpoint", os.path.join(out, "model.ckpt"),
+                     "--batch-size", "0", *DATA_ARGS])
+        assert code == EXIT_USAGE
+        assert "--batch-size: must be >= 1, got 0" in capsys.readouterr().err
+
     def test_missing_checkpoint_is_usage_error(self, tmp_path, capsys):
         code = main(["eval", "--checkpoint", str(tmp_path / "no.ckpt")])
         assert code == EXIT_USAGE
@@ -253,6 +262,17 @@ class TestBench:
                      "--warmup", "1", "--variants", "dense"])
         assert code == EXIT_OK
         assert "dispersion" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_is_usage_error(self, monkeypatch, capsys,
+                                              threads):
+        import dgconv.cli as cli_mod
+        monkeypatch.setattr(cli_mod, "run_benchmark",
+                            lambda *a, **k: fake_results())
+        code = main(["bench", "--threads", threads])
+        assert code == EXIT_USAGE
+        assert f"--threads: must be >= 1, got {threads}" in \
+            capsys.readouterr().err
 
     def test_bad_shape_token_is_usage_error(self, capsys):
         assert main(["bench", "--shapes", "4x4x5"]) == EXIT_USAGE

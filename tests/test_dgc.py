@@ -19,19 +19,19 @@ from dgconv.dgc import (
     GateDecision,
     GlobalGating,
     HeadwiseGating,
+    _gate_masks,
     channel_shuffle,
     dgc_backward,
     dgc_forward,
     gather_filters,
-    headwise_gate,
+    gathered_conv,
     init_dgc_layer,
     kept_channels,
     lasso_loss,
-    saliency_forward,
-    select_and_amplify,
     sgc_backward,
     sgc_forward,
 )
+from dgconv.runtime import build_index_plan
 from conftest import naive_conv2d, numerical_grad, rel_error
 
 SMALL = DgcLayerConfig(in_channels=4, out_channels=4, kernel_size=3, stride=1,
@@ -75,43 +75,45 @@ def stable_setup(config=SMALL, n=2, hw=4, margin=5e-3, keep_sign=False,
     raise AssertionError("no selection-stable seed found")
 
 
+def topk(rows, rate):
+    """Head-wise keep-masks of saliency rows."""
+    return _gate_masks(np.asarray(rows, dtype=float), HeadwiseGating(rate))
+
+
 class TestGating:
     def test_headwise_example_half(self):
-        d = headwise_gate(np.array([0.9, 0.1, 0.5, 0.3]), 0.5)
-        npt.assert_array_equal(d.indices, [0, 2])
-        npt.assert_allclose(d.amplify, [0.9, 0.5])
-        assert d.threshold == 0.5
+        g = np.array([[0.9, 0.1, 0.5, 0.3]])
+        mask = topk(g, 0.5)
+        npt.assert_array_equal(mask, [[True, False, True, False]])
+        npt.assert_allclose(g[mask], [0.9, 0.5])
+        assert g[mask].min() == 0.5
 
     def test_headwise_example_three_quarters(self):
-        d = headwise_gate(np.array([0.9, 0.1, 0.5, 0.3]), 0.75)
-        npt.assert_array_equal(d.indices, [0])
-        npt.assert_allclose(d.amplify, [0.9])
+        g = np.array([[0.9, 0.1, 0.5, 0.3]])
+        mask = topk(g, 0.75)
+        npt.assert_array_equal(mask, [[True, False, False, False]])
+        npt.assert_allclose(g[mask], [0.9])
 
     def test_zero_rate_keeps_all(self):
-        g = np.array([0.2, 0.0, 0.7])
-        d = headwise_gate(g, 0.0)
-        npt.assert_array_equal(d.indices, [0, 1, 2])
-        npt.assert_allclose(d.amplify, g)
+        g = np.array([[0.2, 0.0, 0.7]])
+        npt.assert_array_equal(topk(g, 0.0), [[True, True, True]])
 
     def test_ties_break_to_lower_index(self):
-        d = headwise_gate(np.array([0.5, 0.5, 0.5, 0.1]), 0.5)
-        npt.assert_array_equal(d.indices, [0, 1])
+        mask = topk([[0.5, 0.5, 0.5, 0.1], [0.1, 0.5, 0.5, 0.5]], 0.5)
+        npt.assert_array_equal(mask, [[True, True, False, False],
+                                      [False, True, True, False]])
 
     def test_selection_scale_invariant(self):
-        g = np.random.default_rng(7).uniform(0.01, 1.0, size=12)
-        base = headwise_gate(g, 0.75).indices
+        g = np.random.default_rng(7).uniform(0.01, 1.0, size=(5, 12))
+        base = topk(g, 0.75)
         for c in (0.5, 2.0, 10.0):
-            npt.assert_array_equal(headwise_gate(c * g, 0.75).indices, base)
+            npt.assert_array_equal(topk(c * g, 0.75), base)
 
     def test_rejects_bad_rate(self):
         with pytest.raises(ValueError):
-            headwise_gate(np.ones(4), 1.0)
+            topk(np.ones((1, 4)), 1.0)
         with pytest.raises(ValueError):
-            headwise_gate(np.ones(4), -0.1)
-
-    def test_rejects_matrix_input(self):
-        with pytest.raises(ValueError):
-            headwise_gate(np.ones((2, 4)), 0.5)
+            topk(np.ones((1, 4)), -0.1)
 
     def test_kept_channels_exact_fractions(self):
         assert kept_channels(4, 0.5) == 2
@@ -124,49 +126,54 @@ class TestGating:
            st.integers(0, 2**31 - 1))
     @settings(max_examples=60, deadline=None)
     def test_gate_properties(self, c, rate, seed):
-        g = np.random.default_rng(seed).uniform(size=c)
-        d = headwise_gate(g, rate)
+        g = np.random.default_rng(seed).uniform(size=(3, c))
+        mask = topk(g, rate)
         k = kept_channels(c, rate)
         assert 1 <= k <= c
-        assert d.indices.size == k
-        assert np.all(np.diff(d.indices) > 0)
-        unsel = np.setdiff1d(np.arange(c), d.indices)
-        if unsel.size:
-            assert g[d.indices].min() >= g[unsel].max()
-        assert d.threshold == g[d.indices].min()
+        for row, keep in zip(g, mask):
+            assert keep.sum() == k
+            if not keep.all():
+                assert row[keep].min() >= row[~keep].max()
 
     def test_every_channel_reachable(self):
-        gen = np.random.default_rng(11)
-        counts = np.zeros(6)
         draws = 10000
-        for _ in range(draws):
-            counts[headwise_gate(gen.uniform(size=6), 0.5).indices] += 1
-        freq = counts / draws
+        mask = topk(np.random.default_rng(11).uniform(size=(draws, 6)), 0.5)
+        freq = mask.sum(axis=0) / draws
         assert freq.min() > 0.45 and freq.max() < 0.55
 
 
 class TestSelectAmplify:
+    """gathered_conv selects and amplifies channels; a 1x1 identity bank
+    shows the gathered, scaled slices themselves."""
+
     def test_gather_and_scale(self):
-        x = np.arange(2 * 4 * 2 * 2, dtype=float).reshape(2, 4, 2, 2)
-        d = GateDecision(np.array([0, 2]), np.array([2.0, 0.5]), 0.5)
-        y = select_and_amplify(x, d)
+        x = np.arange(3 * 4 * 2 * 2, dtype=float).reshape(3, 4, 2, 2)
+        rows, idx = np.array([0, 2]), np.array([[0, 2], [1, 3]])
+        amp = np.array([[2.0, 0.5], [3.0, -1.0]])
+        y = gathered_conv(x, rows, idx, amp, np.tile(np.eye(2)[:, :, None, None],
+                                                    (2, 1, 1, 1, 1)), 1, 0)
         assert y.shape == (2, 2, 2, 2)
-        npt.assert_allclose(y[:, 0], 2.0 * x[:, 0])
-        npt.assert_allclose(y[:, 1], 0.5 * x[:, 2])
+        npt.assert_allclose(y[0, 0], 2.0 * x[0, 0])
+        npt.assert_allclose(y[0, 1], 0.5 * x[0, 2])
+        npt.assert_allclose(y[1, 0], 3.0 * x[2, 1])
+        npt.assert_allclose(y[1, 1], -1.0 * x[2, 3])
 
     def test_single_sample(self):
-        x = np.ones((3, 2, 2))
-        d = GateDecision(np.array([1]), np.array([3.0]), 3.0)
-        npt.assert_allclose(select_and_amplify(x, d), 3.0 * np.ones((1, 2, 2)))
+        x = np.ones((1, 3, 2, 2))
+        y = gathered_conv(x, 0, np.array([[1]]), np.array([[3.0]]),
+                          np.ones((1, 1, 1, 1, 1)), 1, 0)
+        npt.assert_allclose(y, 3.0 * np.ones((1, 1, 2, 2)))
 
     def test_rejects_out_of_range(self):
-        d = GateDecision(np.array([5]), np.array([1.0]), 1.0)
-        with pytest.raises(ValueError):
-            select_and_amplify(np.ones((1, 4, 2, 2)), d)
+        layer = small_layer(0)      # 4 input channels
+        for bad in (4, 5, -1):
+            d = GateDecision(np.array([bad]), np.array([1.0]))
+            with pytest.raises(ValueError, match="stale"):
+                build_index_plan(layer, [d] * layer.config.heads)
 
     def test_decision_rejects_unsorted(self):
         with pytest.raises(ValueError):
-            GateDecision(np.array([2, 0]), np.array([1.0, 1.0]), 1.0)
+            GateDecision(np.array([2, 0]), np.array([1.0, 1.0]))
 
     def test_gather_filters_slices(self):
         w = np.random.default_rng(0).normal(size=(8, 6, 3, 3))
@@ -204,32 +211,35 @@ class TestShuffle:
 
 
 class TestSaliency:
+    """Saliencies as dgc_forward reports them, one (N, C) array per head."""
+
     def test_shape_and_nonnegative(self, rng):
         layer = small_layer(0)
         x = rng.normal(size=(3, 4, 5, 5))
-        g = saliency_forward(x, layer.heads[0])
-        assert g.shape == (3, 4)
-        assert np.all(g >= 0)
+        for training in (True, False):
+            fwd = dgc_forward(x, layer, HeadwiseGating(0.5), training=training)
+            for g in fwd.saliencies:
+                assert g.shape == (3, 4)
+                assert np.all(g >= 0)
 
     def test_keep_sign_can_be_negative(self):
         layer = small_layer(0)
         layer.heads[0].b_expand[:] = -5.0
-        g = saliency_forward(np.ones((1, 4, 2, 2)), layer.heads[0], keep_sign=True)
+        x = np.ones((1, 4, 2, 2))
+        g = dgc_forward(x, layer, GlobalGating(0.0)).saliencies[0]
         assert np.all(g < 0)
-        g2 = saliency_forward(np.ones((1, 4, 2, 2)), layer.heads[0])
+        g2 = dgc_forward(x, layer, HeadwiseGating(0.5)).saliencies[0]
         npt.assert_array_equal(g2, 0.0)
 
     def test_depends_only_on_channel_means(self, rng):
         layer = small_layer(1)
         x = rng.normal(size=(2, 4, 6, 6))
         shuffled = x[:, :, ::-1, ::-1].copy()
-        npt.assert_allclose(saliency_forward(x, layer.heads[0]),
-                            saliency_forward(shuffled, layer.heads[0]), atol=1e-12)
-
-    def test_rejects_wrong_channels(self):
-        layer = small_layer(0)
-        with pytest.raises(ValueError):
-            saliency_forward(np.ones((1, 6, 2, 2)), layer.heads[0])
+        a = dgc_forward(x, layer, HeadwiseGating(0.5), training=False)
+        b = dgc_forward(shuffled, layer, HeadwiseGating(0.5), training=False)
+        for ga, gb, ma, mb in zip(a.saliencies, b.saliencies, a.masks, b.masks):
+            npt.assert_allclose(ga, gb, atol=1e-12)
+            npt.assert_array_equal(ma, mb)
 
 
 class TestForward:
@@ -258,13 +268,13 @@ class TestForward:
         fwd = dgc_forward(x, layer, HeadwiseGating(0.5), training=True)
         for hi, head in enumerate(layer.heads):
             for s in range(x.shape[0]):
-                d = fwd.decisions(hi)[s]
+                d = fwd.decision(hi, s)
                 dense_in = np.zeros_like(x[s:s + 1])
                 dense_in[0, d.indices] = x[s, d.indices] * d.amplify[:, None, None]
                 dense = naive_conv2d(dense_in, head.filters, cfg.stride, cfg.padding)
-                gathered = naive_conv2d(
-                    select_and_amplify(x[s], d)[None],
-                    gather_filters(head.filters, d.indices),
+                gathered = gathered_conv(
+                    x, s, d.indices[None], d.amplify[None],
+                    gather_filters(head.filters, d.indices)[None],
                     cfg.stride, cfg.padding)
                 npt.assert_allclose(dense, gathered, rtol=1e-10, atol=1e-12)
 
@@ -321,7 +331,8 @@ class TestForward:
         layer, x = stable_setup(n=3)
         fwd = dgc_forward(x, layer, HeadwiseGating(0.5))
         for hi in range(len(layer.heads)):
-            for s, d in enumerate(fwd.decisions(hi)):
+            for s in range(3):
+                d = fwd.decision(hi, s)
                 npt.assert_array_equal(d.indices, np.flatnonzero(fwd.masks[hi][s]))
                 npt.assert_allclose(d.amplify, fwd.saliencies[hi][s, d.indices])
 
@@ -511,14 +522,16 @@ class TestLasso:
 
 class TestStandardGroupConv:
     def test_matches_block_diagonal_dense(self, rng):
-        x = rng.normal(size=(2, 6, 5, 5))
         w = rng.normal(size=(9, 2, 3, 3))
-        y = sgc_forward(x, w, groups=3, stride=1, padding=1)
         dense = np.zeros((9, 6, 3, 3))
         for g in range(3):
             dense[g * 3:(g + 1) * 3, g * 2:(g + 1) * 2] = w[g * 3:(g + 1) * 3]
-        expect = conv2d_forward(x, ConvFilter(dense, 1, 1))
-        npt.assert_allclose(y, expect, rtol=1e-12, atol=1e-12)
+        # (batch, map, stride): im2col, shifted taps (9x9 output), stride 2
+        for n, hw, stride in ((2, 5, 1), (2, 9, 1), (3, 9, 2)):
+            x = rng.normal(size=(n, 6, hw, hw))
+            y = sgc_forward(x, w, groups=3, stride=stride, padding=1)
+            expect = conv2d_forward(x, ConvFilter(dense, stride, 1))
+            npt.assert_allclose(y, expect, rtol=1e-12, atol=1e-12)
 
     def test_one_group_is_dense(self, rng):
         x = rng.normal(size=(1, 3, 4, 4))
@@ -541,3 +554,12 @@ class TestStandardGroupConv:
         with pytest.raises(ValueError):
             sgc_forward(rng.normal(size=(1, 5, 4, 4)),
                         rng.normal(size=(4, 2, 3, 3)), 2)
+
+    def test_rejects_bad_bank(self, rng):
+        x = rng.normal(size=(1, 4, 5, 5))
+        with pytest.raises(ValueError, match="square"):
+            sgc_forward(x, rng.normal(size=(4, 2, 3, 1)), 2)
+        w = rng.normal(size=(4, 2, 3, 3))
+        w[3, 1, 2, 2] = np.nan       # in the last group only
+        with pytest.raises(ValueError, match="non-finite"):
+            sgc_forward(x, w, 2)

@@ -13,10 +13,17 @@ from dgconv.global_threshold import (
     angle_loss_and_grad,
     collect_saliencies,
     compute_global_threshold,
-    global_gate,
     maybe_update_threshold,
 )
+from dgconv.dgc import (DgcLayerConfig, GlobalGating, _gate_masks, dgc_forward,
+                        init_dgc_layer)
 from conftest import numerical_grad, rel_error
+
+
+def kept(g, threshold):
+    """Global-threshold keep-masks of saliency rows."""
+    return _gate_masks(np.atleast_2d(np.asarray(g, dtype=float)),
+                       GlobalGating(threshold))
 
 
 def library_from(values, row_length=None):
@@ -83,8 +90,7 @@ class TestThreshold:
         lib = library_from([[0.4, -0.4, 0.4, -0.4]])
         t = compute_global_threshold(lib, 0.75)
         assert t == pytest.approx(0.4)
-        d = global_gate(np.array([0.4, -0.4, 0.4, -0.4]), t)
-        assert d.indices.size == 4  # nothing strictly below
+        assert kept([0.4, -0.4, 0.4, -0.4], t).all()  # nothing strictly below
 
     def test_permutation_invariant(self):
         gen = np.random.default_rng(2)
@@ -120,32 +126,38 @@ class TestThreshold:
 
 class TestGlobalGate:
     def test_example(self):
-        d = global_gate(np.array([0.5, -0.1, 0.9]), 0.3)
-        npt.assert_array_equal(d.indices, [0, 2])
-        npt.assert_allclose(d.amplify, [0.5, 0.9])
+        g = np.array([[0.5, -0.1, 0.9]])
+        mask = kept(g, 0.3)
+        npt.assert_array_equal(mask, [[True, False, True]])
+        npt.assert_allclose(g[mask], [0.5, 0.9])
 
     def test_zero_threshold_selects_all(self):
-        d = global_gate(np.array([0.5, -0.1, 0.9]), 0.0)
-        npt.assert_array_equal(d.indices, [0, 1, 2])
+        npt.assert_array_equal(kept([0.5, -0.1, 0.9], 0.0), [[True] * 3])
 
     def test_sign_preserved(self):
-        d = global_gate(np.array([-0.5]), 0.3)
+        layer = init_dgc_layer(DgcLayerConfig(4, 4, 1, 1, 0, heads=1, squeeze=2),
+                               np.random.default_rng(0))
+        layer.heads[0].b_expand[:] = [-0.5, 0.0, 0.0, 0.0]
+        layer.heads[0].w_expand[:] = 0.0
+        npt.assert_array_equal(kept([-0.5], 0.3), [[True]])
+        fwd = dgc_forward(np.ones((1, 4, 2, 2)), layer, GlobalGating(0.3),
+                          training=False)
+        d = fwd.decision(0, 0)
         npt.assert_array_equal(d.indices, [0])
         npt.assert_allclose(d.amplify, [-0.5])
 
     def test_empty_selection_allowed(self):
-        d = global_gate(np.array([0.1, -0.2]), 5.0)
-        assert d.indices.size == 0
+        assert not kept([0.1, -0.2], 5.0).any()
 
     def test_boundary_kept(self):
-        d = global_gate(np.array([0.3, -0.3, 0.2999999]), 0.3)
-        npt.assert_array_equal(d.indices, [0, 1])
+        npt.assert_array_equal(kept([0.3, -0.3, 0.2999999], 0.3),
+                               [[True, True, False]])
 
     def test_rejects_bad_threshold(self):
         with pytest.raises(ValueError):
-            global_gate(np.ones(3), -0.1)
+            kept(np.ones(3), -0.1)
         with pytest.raises(ValueError):
-            global_gate(np.ones(3), float("nan"))
+            kept(np.ones(3), float("nan"))
 
 
 class TestUpdateCadence:

@@ -149,7 +149,7 @@ class TestIndexPlan:
 
     def test_gather_layout(self):
         layer = make_layer(seed=2)
-        decs = [GateDecision(np.array([0, 2]), np.array([1.0, 2.0]), 1.0)
+        decs = [GateDecision(np.array([0, 2]), np.array([1.0, 2.0]))
                 for _ in range(2)]
         plan = build_index_plan(layer, decs)
         npt.assert_array_equal(plan.filters[0], layer.heads[0].filters[:, [0, 2]])
@@ -168,8 +168,8 @@ class TestIndexPlan:
 
     def test_stale_decision_rejected(self):
         layer = make_layer()
-        decs = [GateDecision(np.array([0, 9]), np.array([1.0, 1.0]), 1.0),
-                GateDecision(np.array([0]), np.array([1.0]), 1.0)]
+        decs = [GateDecision(np.array([0, 9]), np.array([1.0, 1.0])),
+                GateDecision(np.array([0]), np.array([1.0]))]
         with pytest.raises(ValueError, match="stale"):
             build_index_plan(layer, decs)
         with pytest.raises(ValueError, match="head decisions"):
@@ -177,7 +177,7 @@ class TestIndexPlan:
 
     def test_execute_validates_input(self):
         layer = make_layer()
-        decs = [GateDecision(np.array([0]), np.array([1.0]), 1.0)] * 2
+        decs = [GateDecision(np.array([0]), np.array([1.0]))] * 2
         plan = build_index_plan(layer, decs)
         with pytest.raises(ValueError):
             execute_plan(plan, np.zeros((5, 4, 4)))
@@ -309,8 +309,8 @@ class TestBenchmark:
                             recorder("dense", runtime.conv2d_forward))
         monkeypatch.setattr(runtime, "sgc_forward",
                             recorder("sgc", runtime.sgc_forward))
-        monkeypatch.setattr(runtime, "_dgc_instrumented",
-                            recorder("dgc", lambda *a: (0.0, 0.0, 0.0)))
+        monkeypatch.setattr(runtime, "_saliency_phase",
+                            recorder("dgc", runtime._saliency_phase))
         repeats = 4
         run_benchmark([(8, 8, 6, 3)], threads=1, repeats=repeats, warmup=2)
         # Inner loops repeat a variant back to back; collapse those runs.

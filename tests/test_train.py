@@ -185,6 +185,16 @@ class TestGlobalModeTraining:
         assert all(np.isfinite(m.threshold) for m in hist[2:])
         assert all(m.loss_angle > 0 for m in hist)
 
+    def test_library_follows_update_period(self, monkeypatch):
+        from dgconv import global_threshold
+        monkeypatch.setattr(global_threshold, "UPDATE_PERIOD", 2)
+        cfg = cfg_with(gating="global", epochs=2, collection_iterations=2)
+        data = synth_dataset(seed=8, classes=2, count=96)
+        res = fit(cfg, data)
+        assert res.threshold_state.last_update_epoch == 1
+        assert np.isnan(res.history[0].threshold)
+        assert np.isfinite(res.history[1].threshold)
+
     def test_angle_term_in_decomposition(self):
         cfg = cfg_with(gating="global", angle="1e-3", epochs=3)
         data = synth_dataset(seed=9, classes=2, count=64)
