@@ -12,6 +12,12 @@ SHIFTED_TAPS_MIN_PIXELS output pixels runs as k^2 GEMMs on shifted
 slices of the padded, flattened input, with no patch matrix and the
 output already in NCHW order; other shapes, and every backward pass, use
 im2col/col2im. The constants sit next to the timings they come from.
+
+The patch matrix is channel-major: im2col(x) is (N, C*k*k, H'*W'), row
+c*k*k + a*k + b of sample n holding tap (a, b) of channel c at every
+output pixel. It is one copy of a window view of the padded input, and a
+GEMM W (C', C*k*k) @ cols[n] gives sample n's output already in NCHW
+order.
 """
 
 from __future__ import annotations
@@ -97,32 +103,36 @@ def conv_output_size(size: int, k: int, stride: int, pad: int) -> int:
 
 
 def im2col(x: np.ndarray, k: int, stride: int, pad: int) -> tuple[np.ndarray, int, int]:
-    """Unfold x into a (N*H'*W', C*k*k) patch matrix.
+    """Unfold x into the channel-major patch matrix (N, C*k*k, H'*W').
 
-    Column order within a row is channel-major then kernel row/col, which
-    fixes the accumulation order of the matmul-based convolution.
+    cols[n, c*k*k + a*k + b, i*W' + j] = xpad[n, c, i*stride + a,
+    j*stride + b]: rows are channel-major then kernel row/col, which fixes
+    the accumulation order of the matmul-based convolution.
     """
     n, c, h, w = x.shape
     oh = conv_output_size(h, k, stride, pad)
     ow = conv_output_size(w, k, stride, pad)
     if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        x = _padded(x, pad, None)
+    # One copy of the (N, C, k, k, H', W') window view: 10-25% faster than
+    # k^2 slice copies on the desk model's maps.
     win = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
-    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5))
-    return cols.reshape(n * oh * ow, c * k * k), oh, ow
+    cols = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3))
+    return cols.reshape(n, c * k * k, oh * ow), oh, ow
 
 
 def col2im(gcols: np.ndarray, x_shape: tuple[int, ...], k: int, stride: int,
            pad: int) -> np.ndarray:
-    """Scatter-add patch-matrix gradients back to input layout (inverse of im2col)."""
+    """Scatter-add patch-matrix gradients (N, C*k*k, H'*W') back to input
+    layout: the adjoint of im2col."""
     n, c, h, w = x_shape
     oh = conv_output_size(h, k, stride, pad)
     ow = conv_output_size(w, k, stride, pad)
-    g6 = gcols.reshape(n, oh, ow, c, k, k).transpose(0, 3, 4, 5, 1, 2)
+    g = gcols.reshape(n, c, k, k, oh, ow)
     gx = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
-    for i in range(k):
-        for j in range(k):
-            gx[:, :, i:i + oh * stride:stride, j:j + ow * stride:stride] += g6[:, :, i, j]
+    for a in range(k):
+        for b in range(k):
+            gx[:, :, a:a + oh * stride:stride, b:b + ow * stride:stride] += g[:, :, a, b]
     if pad:
         gx = gx[:, :, pad:pad + h, pad:pad + w]
     return gx
@@ -143,33 +153,39 @@ def conv2d_forward(x: np.ndarray, filt: ConvFilter) -> np.ndarray:
 
 
 # Which stride-1 convolutions run as shifted taps (_shifted_taps) rather
-# than im2col + one GEMM. Medians of batched_conv on each path, 1 BLAS
-# thread, k = 3, pad 1, C = C' (2-core Xeon, numpy 2.4 / OpenBLAS 0.3.31):
+# than im2col + one GEMM per sample. batched_conv on each path, 1 BLAS
+# thread, k = 3, pad 1, C = C' (2-core Xeon, numpy 2.4 / OpenBLAS 0.3.31);
+# medians of three runs, each interleaving the paths call by call.
+# "row-major" is the former (N*H'*W', C*k*k) unfold, one GEMM and a
+# transposed output, against which the constants were chosen:
 #
-#   C @ map      samples                  im2col    taps   ms
-#   16 @ 56x56   1                          2.16    0.60   gated head slices
-#   32 @ 28x28   1                          1.63    0.72   at rate 0.75
-#   64 @ 14x14   1                          1.07    0.83
-#   64 @ 56x56   1                         16.5     8.9    dense layers
-#   128 @ 28x28  1                         11.8     9.3
-#   128 @ 14x14  1                          2.76    2.45
-#   192 @ 14x14  1                          5.32    5.61
-#   256 @ 14x14  1                          8.47   10.4
-#   256 @ 20x20  1                         15.9    17.2
-#   16 @ 4x4     256, one bank each         3.34    5.37   desk model's gated
-#   16 @ 5x5     256, one bank each         5.68    6.77   heads
-#   32 @ 6x6     32, one bank each          2.20    2.46
-#   32 @ 7x7     32, one bank each          2.91    2.89
-#   16 @ 8x8     256, one bank each        15.4    12.2
+#   C @ map      samples              row-major  im2col   taps   ms
+#   16 @ 56x56   1                        1.94     0.88   0.60   gated head
+#   32 @ 28x28   1                        0.95     0.49   0.47   slices at
+#   64 @ 14x14   1                        0.64     0.38   0.56   rate 0.75
+#   64 @ 56x56   1                        9.23     5.29   5.95   dense layers
+#   128 @ 28x28  1                        6.52     4.37   5.29
+#   128 @ 14x14  1                        1.77     1.24   1.60
+#   192 @ 14x14  1                        3.31     2.51   3.71
+#   256 @ 14x14  1                        5.07     4.44   7.26
+#   256 @ 20x20  1                       10.8      8.84  12.1
+#   16 @ 4x4     256, one bank each       2.31     1.67   4.16   desk model's
+#   16 @ 5x5     256, one bank each       3.58     2.50   5.29   gated heads
+#   32 @ 6x6     32, one bank each        1.55     1.03   1.87
+#   32 @ 7x7     32, one bank each        2.23     1.32   2.32
+#   16 @ 8x8     256, one bank each      12.5      7.55  10.6
 #
-# im2col copies k^2 * C values per output pixel and transposes the
-# output; with few output channels that copy outweighs the GEMM. The taps
-# make k^2 GEMMs per sample and k^2 - 1 passes over its output: with many
-# output channels those passes and the cropped pad columns cost more than
-# the copy saves, and on small maps the k^2 BLAS calls per sample of a
-# stack cost more than the whole im2col. The rule reads the shape of one
-# sample, never the stack size, so a stack of one and a stack of many take
-# the same path and give the same bits.
+# The channel-major im2col copies k^2 * C values per output pixel, and
+# its GEMM writes NCHW. The taps make k^2 GEMMs per sample and k^2 - 1
+# passes over its output: with many output channels those passes and the
+# cropped pad columns cost more than the copy saves, and on small maps
+# the k^2 BLAS calls per sample of a stack cost more than the whole
+# im2col. Against the channel-major unfold the taps win only on thin
+# large maps (16 @ 56x56; 32 @ 28x28 is a tie), so the constants below
+# send shapes such as 64 @ 56x56 and 16 @ 8x8 stacks to the slower path.
+# The rule reads the shape of one sample, never the stack size, so a
+# stack of one and a stack of many take the same path and give the same
+# bits.
 SHIFTED_TAPS_MAX_CHANNELS = 128     # output channels C'
 SHIFTED_TAPS_MIN_PIXELS = 64        # output pixels H' * W'
 
@@ -184,8 +200,8 @@ def batched_conv(x: np.ndarray, weights: np.ndarray, stride: int, pad: int,
     is applied while x is copied into its zero-padded buffer, a copy both
     paths make anyway. Stride 1 runs shifted-tap GEMMs when C' <=
     SHIFTED_TAPS_MAX_CHANNELS and H' * W' >= SHIFTED_TAPS_MIN_PIXELS;
-    everything else runs im2col and one GEMM (one per sample for
-    per-sample weights) whose rows follow the output pixels.
+    everything else runs im2col and one GEMM per sample, W @ cols[n],
+    whose output is already NCHW.
     """
     n = x.shape[0]
     co, k = weights.shape[-4], weights.shape[-1]
@@ -197,12 +213,8 @@ def batched_conv(x: np.ndarray, weights: np.ndarray, stride: int, pad: int,
     if scale is not None:
         x, pad = _padded(x, pad, scale), 0
     cols, _, _ = im2col(x, k, stride, pad)
-    if weights.ndim == 4:
-        y = cols @ weights.reshape(co, -1).T
-    else:
-        y = np.matmul(cols.reshape(n, oh * ow, -1),
-                      weights.reshape(n, co, -1).transpose(0, 2, 1))
-    return y.reshape(n, oh, ow, co).transpose(0, 3, 1, 2)
+    y = np.matmul(weights.reshape(*weights.shape[:-4], co, -1), cols)
+    return y.reshape(n, co, oh, ow)
 
 
 def _padded(x: np.ndarray, pad: int, scale: np.ndarray | None) -> np.ndarray:
@@ -243,9 +255,10 @@ def _shifted_taps(xp: np.ndarray, weights: np.ndarray, oh: int,
     return y.reshape(n, co, oh, wp)[:, :, :, :ow]
 
 
-def conv2d_backward(x: np.ndarray, filt: ConvFilter,
-                    grad_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact gradients of conv2d_forward w.r.t. input and weights."""
+def conv2d_backward(x: np.ndarray, filt: ConvFilter, grad_out: np.ndarray,
+                    input_grad: bool = True) -> tuple[np.ndarray | None, np.ndarray]:
+    """Exact gradients of conv2d_forward w.r.t. input and weights; the
+    input gradient is None when input_grad is false."""
     _check_4d(x, "conv input")
     _check_4d(grad_out, "conv grad_out")
     k, stride, pad = filt.kernel_size, filt.stride, filt.padding
@@ -256,11 +269,12 @@ def conv2d_backward(x: np.ndarray, filt: ConvFilter,
         raise ValueError(f"grad_out shape {grad_out.shape} does not match forward "
                          f"output shape {expect}")
     cols, _, _ = im2col(x, k, stride, pad)
-    gy_mat = grad_out.transpose(0, 2, 3, 1).reshape(-1, filt.out_channels)
-    grad_w = (gy_mat.T @ cols).reshape(filt.weights.shape)
-    gcols = gy_mat @ filt.weights.reshape(filt.out_channels, -1)
-    grad_x = col2im(gcols, x.shape, k, stride, pad)
-    return grad_x, grad_w
+    gy = grad_out.reshape(x.shape[0], filt.out_channels, oh * ow)
+    w = filt.weights.reshape(filt.out_channels, -1)
+    grad_w = np.matmul(gy, cols.transpose(0, 2, 1)).sum(axis=0)
+    grad_x = (col2im(np.matmul(w.T, gy), x.shape, k, stride, pad)
+              if input_grad else None)
+    return grad_x, grad_w.reshape(filt.weights.shape)
 
 
 class BatchNorm2d:
@@ -294,10 +308,13 @@ class BatchNorm2d:
             raise ValueError(
                 f"batchnorm expects {self.channels} channels, got {x.shape[1]}")
         if training:
+            # One pass for the mean, one to centre, the variance from the
+            # centred values (never E[x^2] - mean^2), normalised in place.
             mean = x.mean(axis=(0, 2, 3))
-            var = x.var(axis=(0, 2, 3))
+            xhat = x - mean[None, :, None, None]
+            var = np.einsum("nchw,nchw->c", xhat, xhat) / (x.size // self.channels)
             std = np.sqrt(var + self.eps)
-            xhat = (x - mean[None, :, None, None]) / std[None, :, None, None]
+            xhat /= std[None, :, None, None]
             self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mean
             self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var
             self.batches_tracked += 1
@@ -309,19 +326,25 @@ class BatchNorm2d:
             std = np.sqrt(self.running_var + self.eps)
             xhat = (x - self.running_mean[None, :, None, None]) / std[None, :, None, None]
             self._cache = None
-        return self.gamma[None, :, None, None] * xhat + self.beta[None, :, None, None]
+        y = self.gamma[None, :, None, None] * xhat
+        y += self.beta[None, :, None, None]
+        return y
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise ValueError("batchnorm backward requires a cached training-mode forward")
         xhat, std = self._cache
-        m = grad_out.shape[0] * grad_out.shape[2] * grad_out.shape[3]
-        self.grad_gamma = (grad_out * xhat).sum(axis=(0, 2, 3))
+        m = grad_out.size // self.channels
+        self.grad_gamma = np.einsum("nchw,nchw->c", grad_out, xhat)
         self.grad_beta = grad_out.sum(axis=(0, 2, 3))
-        gxhat = grad_out * self.gamma[None, :, None, None]
-        s1 = gxhat.sum(axis=(0, 2, 3), keepdims=True)
-        s2 = (gxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
-        return (gxhat - s1 / m - xhat * s2 / m) / std[None, :, None, None]
+        # With g = gamma * grad_out, the sums of g and of g * xhat are
+        # gamma * grad_beta and gamma * grad_gamma, so
+        # grad_x = gamma / std * (grad_out - grad_beta / m - xhat * grad_gamma / m).
+        gx = xhat * (-self.grad_gamma / m)[None, :, None, None]
+        gx += grad_out
+        gx -= (self.grad_beta / m)[None, :, None, None]
+        gx *= (self.gamma / std)[None, :, None, None]
+        return gx
 
 
 def global_avg_pool(x: np.ndarray) -> np.ndarray:

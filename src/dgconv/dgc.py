@@ -17,9 +17,13 @@ Two gating modes exist:
   keep their sign (see dgconv.global_threshold).
 
 Training folds the gate into per-sample filters W * g_hat (g_hat: the
-saliency on kept channels, 0 elsewhere) and runs one im2col, one GEMM for
-all heads and, backward, one col2im; the saliency gradient follows from
-<col2im(G), x> = <G, im2col(x)>. Filter slices of channels no sample
+saliency on kept channels, 0 elsewhere) and runs one im2col (the
+channel-major (N, C*k*k, H'*W') patch matrix), one GEMM per sample for
+all heads, wn[n] @ cols[n], whose output is already NCHW and, backward,
+one col2im; the saliency gradient follows from
+<col2im(G), x> = <G, im2col(x)>. The filter and saliency gradients are
+einsum contractions of M[n] = grad_out[n] @ cols[n]^T that allocate no
+second array the size of M. Filter slices of channels no sample
 selected get exactly zero gradient. Evaluation runs three phases, each
 timed by the batch-1 benchmark: saliency (pool once, every head's MLP),
 index (gate; per head and kept count the sample rows, channel indices
@@ -336,8 +340,8 @@ def dgc_forward(x: np.ndarray, layer: DgcLayer,
     """Full DGC layer pass: saliency, gate, amplify, convolve, shuffle.
 
     Output shape is (N, C', H', W') regardless of how many channels each
-    head kept. Training runs one GEMM of im2col(x) with per-sample gated
-    filters and caches intermediates for dgc_backward; evaluation runs
+    head kept. Training runs one GEMM per sample of the gated filters and
+    im2col(x) and caches intermediates for dgc_backward; evaluation runs
     the saliency, index and conv phases, one gathered_conv per head and
     kept count.
     """
@@ -367,8 +371,9 @@ def dgc_forward(x: np.ndarray, layer: DgcLayer,
     w = np.stack([head.filters for head in layer.heads], axis=1).reshape(
         co, cfg.heads, cfg.in_channels, k * k)
     wn = (w * ghat[:, None, :, :, None]).reshape(n, cfg.out_channels, -1)
-    cols = im2col(x, k, stride, pad)[0].reshape(n, -1, wn.shape[2])
-    np.matmul(wn, cols.transpose(0, 2, 1), out=out.reshape(n, cfg.out_channels, -1))
+    # cols[n] is (C*k*k, H'*W'), so wn[n] @ cols[n] writes NCHW directly.
+    cols = im2col(x, k, stride, pad)[0]
+    np.matmul(wn, cols, out=out.reshape(n, cfg.out_channels, -1))
     return DgcForward(out, saliencies, masks, keep_sign,
                       {"x": x, "cols": cols, "ghat": ghat, "w": w, "wn": wn,
                        "heads": head_caches})
@@ -376,7 +381,7 @@ def dgc_forward(x: np.ndarray, layer: DgcLayer,
 
 @dataclass
 class DgcGrads:
-    grad_input: np.ndarray
+    grad_input: np.ndarray | None
     grad_filters: list[np.ndarray]
     grad_w_squeeze: list[np.ndarray]
     grad_b_squeeze: list[np.ndarray]
@@ -386,20 +391,22 @@ class DgcGrads:
 
 def dgc_backward(fwd: DgcForward, layer: DgcLayer, grad_out: np.ndarray,
                  lasso_coeff: float = 0.0,
-                 saliency_grad_extra: list[np.ndarray] | None = None) -> DgcGrads:
+                 saliency_grad_extra: list[np.ndarray] | None = None,
+                 input_grad: bool = True) -> DgcGrads:
     """Backward pass with the masked-gradient rule.
 
     Selection indices are treated as constants: gradients flow through the
     multiplicative amplification and the saliency generator, while filter
     slices for channels no sample selected receive exactly zero gradient
     (their g_hat column is exactly zero). Both the filter and the saliency
-    gradients are weighted sums of M[n] = grad_out[n] @ im2col(x)[n].
+    gradients are weighted sums of M[n] = grad_out[n] @ im2col(x)[n].T.
 
     lasso_coeff is the per-element L1 multiplier on the saliencies,
     already divided by (layers * heads * batch) by the caller.
     saliency_grad_extra, when given, holds one (N, C) array per head of
     additional loss gradient w.r.t. the saliencies (e.g. the angle
-    enlargement loss).
+    enlargement loss). With input_grad false, grad_input is None and
+    neither gcols nor the col2im is computed.
     """
     cache = fwd._cache
     if cache is None:
@@ -412,12 +419,15 @@ def dgc_backward(fwd: DgcForward, layer: DgcLayer, grad_out: np.ndarray,
     n, hw = x.shape[0], x.shape[2] * x.shape[3]
 
     gy = grad_out.reshape(n, cfg.out_channels, -1)     # rows match cache["wn"]
-    m = np.matmul(gy, cols).reshape(n, *w.shape)       # (N, C'/heads, heads, C, k*k)
-    grad_w = (m * ghat[:, None, :, :, None]).sum(axis=0)
-    gg_heads = (m * w).sum(axis=1).sum(axis=-1)        # (N, heads, C)
-    gcols = np.matmul(gy.transpose(0, 2, 1), cache["wn"])
-    grad_x = col2im(gcols.reshape(-1, cols.shape[2]), x.shape, cfg.kernel_size,
-                    cfg.stride, cfg.padding)
+    m = np.matmul(gy, cols.transpose(0, 2, 1)).reshape(n, *w.shape)
+    # m is (N, C'/heads, heads, C, k*k); contract it without temporaries.
+    grad_w = np.einsum("nohct,nhc->ohct", m, ghat)
+    gg_heads = np.einsum("nohct,ohct->nhc", m, w)
+    grad_x = None
+    if input_grad:
+        gcols = np.matmul(cache["wn"].transpose(0, 2, 1), gy)
+        grad_x = col2im(gcols, x.shape, cfg.kernel_size, cfg.stride,
+                        cfg.padding)
     grads = DgcGrads(grad_x, [], [], [], [], [])
     for i, (head, hc) in enumerate(zip(layer.heads, cache["heads"])):
         gg = gg_heads[:, i] * hc["mask"]
@@ -428,8 +438,8 @@ def dgc_backward(fwd: DgcForward, layer: DgcLayer, grad_out: np.ndarray,
         gz2 = gg if fwd.keep_sign else gg * (hc["z2"] > 0)
         ga1 = gz2 @ head.w_expand
         gz1 = ga1 * (hc["z1"] > 0)
-        gp = gz1 @ head.w_squeeze
-        grad_x += gp[:, :, None, None] / hw
+        if input_grad:
+            grad_x += (gz1 @ head.w_squeeze)[:, :, None, None] / hw
 
         grads.grad_filters.append(grad_w[:, i].reshape(head.filters.shape))
         grads.grad_w_expand.append(gz2.T @ hc["a1"])
@@ -485,19 +495,20 @@ def sgc_forward(x: np.ndarray, weights: np.ndarray, groups: int,
 
 
 def sgc_backward(x: np.ndarray, weights: np.ndarray, groups: int,
-                 grad_out: np.ndarray, stride: int = 1,
-                 padding: int = 0) -> tuple[np.ndarray, np.ndarray]:
+                 grad_out: np.ndarray, stride: int = 1, padding: int = 0,
+                 input_grad: bool = True) -> tuple[np.ndarray | None, np.ndarray]:
     from .core import conv2d_backward
 
     c, co = x.shape[1], weights.shape[0]
     ci_g, co_g = c // groups, co // groups
-    grad_x = np.zeros_like(x)
+    grad_x = np.zeros_like(x) if input_grad else None
     grad_w = np.zeros_like(weights)
     for g in range(groups):
         gx, gw = conv2d_backward(
             x[:, g * ci_g:(g + 1) * ci_g],
             ConvFilter(weights[g * co_g:(g + 1) * co_g], stride, padding),
-            grad_out[:, g * co_g:(g + 1) * co_g])
-        grad_x[:, g * ci_g:(g + 1) * ci_g] = gx
+            grad_out[:, g * co_g:(g + 1) * co_g], input_grad)
+        if input_grad:
+            grad_x[:, g * ci_g:(g + 1) * ci_g] = gx
         grad_w[g * co_g:(g + 1) * co_g] = gw
     return grad_x, grad_w

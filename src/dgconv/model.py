@@ -183,6 +183,7 @@ class DgcNetwork:
         gx = global_avg_pool_backward(gx[:, :, None, None], *fwd.feat_hw)
         for i in reversed(range(len(self.blocks))):
             blk = self.blocks[i]
+            input_grad = i > 0      # nothing consumes the images' gradient
             gx = relu_backward(fwd.pre_relu[i], gx)
             gx = blk.bn.backward(gx)
             grads[f"b{i}.bn.gamma"] = blk.bn.grad_gamma
@@ -192,7 +193,8 @@ class DgcNetwork:
                 extra = (saliency_grad_extra or {}).get(i)
                 dgrads = dgc_backward(fwd.dgc_fwds[i], blk.dgc, gx,
                                       lasso_coeff=lasso_coeff,
-                                      saliency_grad_extra=extra)
+                                      saliency_grad_extra=extra,
+                                      input_grad=input_grad)
                 for j in range(len(blk.dgc.heads)):
                     grads[f"b{i}.h{j}.filters"] = dgrads.grad_filters[j]
                     grads[f"b{i}.h{j}.w_squeeze"] = dgrads.grad_w_squeeze[j]
@@ -202,12 +204,13 @@ class DgcNetwork:
                 gx = dgrads.grad_input
             elif blk.spec.kind == "sgc":
                 gx, gw = sgc_backward(x_in, blk.weights, blk.spec.groups, gx,
-                                      blk.spec.stride, blk.spec.padding)
+                                      blk.spec.stride, blk.spec.padding,
+                                      input_grad)
                 grads[f"b{i}.weights"] = gw
             else:
                 gx, gw = conv2d_backward(
                     x_in, ConvFilter(blk.weights, blk.spec.stride,
-                                     blk.spec.padding), gx)
+                                     blk.spec.padding), gx, input_grad)
                 grads[f"b{i}.weights"] = gw
         return grads
 

@@ -183,12 +183,14 @@ def contribution_matrix(net: DgcNetwork, block: int,
     """
     bank = _contribution_bank(net, block)
     spec = net.blocks[block].spec
-    cols, _, _ = im2col(block_input, spec.kernel_size, spec.stride,
-                        spec.padding)
+    cols, oh, ow = im2col(block_input, spec.kernel_size, spec.stride,
+                          spec.padding)
     cout, cin, k, _ = bank.shape
-    taps = cols.reshape(cols.shape[0], cin, k * k)
-    sums = np.einsum("pik,oik->oi", taps, bank.reshape(cout, cin, k * k))
-    return sums / cols.shape[0]
+    # The map of (o, i) is linear in the patches, so its mean is the
+    # filter slice applied to the mean patch.
+    patch_sum = cols.sum(axis=(0, 2)).reshape(cin, k * k)
+    sums = np.einsum("ik,oik->oi", patch_sum, bank.reshape(cout, cin, k * k))
+    return sums / (cols.shape[0] * oh * ow)
 
 
 def collect_bundle(net: DgcNetwork, images: np.ndarray,

@@ -160,6 +160,38 @@ class TestBatchedConv:
             core.batched_conv(np.ones((1, 1, 2, 2)), np.ones((1, 1, 3, 3)), 1, 0)
 
 
+class TestPatchMatrix:
+    """im2col's channel-major layout and col2im as its adjoint."""
+
+    GEOMETRIES = [(k, stride, pad) for k in (1, 3) for stride in (1, 2)
+                  for pad in (0, 1)]
+
+    @pytest.mark.parametrize("k,stride,pad", GEOMETRIES)
+    def test_layout(self, rng, k, stride, pad):
+        x = rng.normal(size=(2, 3, 6, 7))
+        cols, oh, ow = core.im2col(x, k, stride, pad)
+        assert cols.shape == (2, 3 * k * k, oh * ow)
+        xpad = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        for n in range(2):
+            for c in range(3):
+                for a in range(k):
+                    for b in range(k):
+                        for i in range(oh):
+                            for j in range(ow):
+                                assert (cols[n, c * k * k + a * k + b, i * ow + j]
+                                        == xpad[n, c, i * stride + a,
+                                                j * stride + b])
+
+    @pytest.mark.parametrize("k,stride,pad", GEOMETRIES)
+    def test_col2im_is_the_adjoint(self, rng, k, stride, pad):
+        x = rng.normal(size=(2, 3, 6, 7))
+        cols, _, _ = core.im2col(x, k, stride, pad)
+        g = rng.normal(size=cols.shape)
+        lhs = float(np.sum(core.col2im(g, x.shape, k, stride, pad) * x))
+        rhs = float(np.sum(g * cols))
+        assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
+
+
 class TestConvBackward:
     def test_zero_grad_out(self, rng):
         x = rng.normal(size=(1, 2, 4, 4))
@@ -188,6 +220,14 @@ class TestConvBackward:
         gx, gw = conv2d_backward(x, ConvFilter(w, stride, pad), gy)
         assert rel_error(gx, numerical_grad(loss, x)) < 1e-6
         assert rel_error(gw, numerical_grad(loss, w)) < 1e-6
+
+    def test_without_input_gradient(self, rng):
+        x = rng.normal(size=(2, 2, 5, 5))
+        f = ConvFilter(rng.normal(size=(3, 2, 3, 3)), 2, 1)
+        gy = rng.normal(size=(2, 3, 3, 3))
+        gx, gw = conv2d_backward(x, f, gy, input_grad=False)
+        assert gx is None
+        npt.assert_array_equal(gw, conv2d_backward(x, f, gy)[1])
 
     def test_shape_mismatch_rejected(self, rng):
         x = rng.normal(size=(1, 2, 4, 4))
@@ -251,6 +291,40 @@ class TestBatchNorm:
         assert rel_error(gx, numerical_grad(loss, x)) < 1e-5
         assert rel_error(bn.grad_gamma, numerical_grad(loss, bn.gamma)) < 1e-5
         assert rel_error(bn.grad_beta, numerical_grad(loss, bn.beta)) < 1e-5
+
+
+    def test_large_mean_small_spread_matches_two_pass(self, rng):
+        # Channel 1 has mean 1e4 and sd 1e-2: E[x^2] - mean^2 loses about
+        # eight digits of its variance there.
+        x = rng.normal(size=(8, 3, 5, 5))
+        x[:, 1] = 1e4 + 1e-2 * x[:, 1]
+        gy = rng.normal(size=x.shape)
+        bn = BatchNorm2d(3, momentum=1.0)   # running stats = batch stats
+        bn.gamma[:] = [0.5, 2.0, -1.5]
+        y = bn.forward(x, training=True)
+        gx = bn.backward(gy)
+
+        mean = x.mean(axis=(0, 2, 3))
+        xc = x - mean[None, :, None, None]
+        var = (xc ** 2).mean(axis=(0, 2, 3))
+        std = np.sqrt(var + bn.eps)
+        xhat = xc / std[None, :, None, None]
+        gamma = bn.gamma[None, :, None, None]
+        g = gy * gamma
+        ref_gx = (g - g.mean(axis=(0, 2, 3), keepdims=True)
+                  - xhat * (g * xhat).mean(axis=(0, 2, 3), keepdims=True)
+                  ) / std[None, :, None, None]
+
+        def close(actual, expect):
+            npt.assert_allclose(actual, expect, rtol=1e-9,
+                                atol=1e-9 * np.abs(expect).max())
+
+        close(y, gamma * xhat)
+        close(bn.running_mean, mean)
+        close(bn.running_var, var)
+        close(gx, ref_gx)
+        close(bn.grad_gamma, (gy * xhat).sum(axis=(0, 2, 3)))
+        close(bn.grad_beta, gy.sum(axis=(0, 2, 3)))
 
 
 class TestPoolLinearRelu:

@@ -122,6 +122,22 @@ class TestNetworkGradients:
             num = numerical_grad(loss, p)
             assert rel_error(grads[name], num) < 1e-4, name
 
+    def test_first_block_computes_no_input_gradient(self, monkeypatch):
+        from dgconv import core, dgc
+        calls = []
+        for module in (core, dgc):
+            def counted(*args, _real=module.col2im):
+                calls.append(1)
+                return _real(*args)
+            monkeypatch.setattr(module, "col2im", counted)
+        cfg = parse_config(DESK)
+        net = DgcNetwork(cfg, np.random.default_rng(0))
+        x = np.random.default_rng(1).normal(size=(4, 3, 32, 32))
+        fwd = net.forward(x, HeadwiseGating(0.5), training=True)
+        _, dlogits = softmax_cross_entropy(fwd.logits, np.arange(4))
+        net.backward(fwd, dlogits)
+        assert len(calls) == 3      # one per gated block, none for the stem
+
     def test_input_path_through_all_blocks(self):
         net, x = stable_net()
         y = np.array([1, 0])
