@@ -8,7 +8,9 @@ File layout:
     blob: little-endian float64 values, tightly packed
 
 The manifest holds the serialized config, epoch counter, schedule and
-global-threshold state, the RNG state, and a parameter table of
+global-threshold state, the RNG state, the per-channel ``mean`` and
+``std`` that standardized the training images (evaluation standardizes
+its inputs with them), and a parameter table of
 ``[name, shape, offset]`` rows whose offsets partition the blob exactly.
 Model parameters, optimizer velocities (``opt.`` prefix), and batch-norm
 running statistics (``state.`` prefix) all live in the same blob.
@@ -36,8 +38,8 @@ __all__ = ["Checkpoint", "save_checkpoint", "load_checkpoint",
 
 MAGIC = b"DGCKPT 1\n"
 _MANIFEST_KEYS = ("config", "epoch", "bn_batches_tracked", "threshold",
-                  "threshold_last_update", "rng_state", "params",
-                  "blob_elements")
+                  "threshold_last_update", "rng_state", "mean", "std",
+                  "params", "blob_elements")
 
 
 @dataclass
@@ -49,6 +51,7 @@ class Checkpoint:
     threshold: float | None
     threshold_last_update: int | None
     rng_state: dict
+    stats: tuple[np.ndarray, np.ndarray]    # training (mean, std) per channel
 
     def model_arrays(self) -> dict[str, np.ndarray]:
         return {k: v for k, v in self.arrays.items()
@@ -57,8 +60,11 @@ class Checkpoint:
 
 def save_checkpoint(path: str, net: DgcNetwork, optimizer: SGD, epoch: int,
                     rng: np.random.Generator,
-                    threshold_state: GlobalThresholdState | None = None) -> None:
-    """Serialize the full training state; atomic on POSIX rename."""
+                    threshold_state: GlobalThresholdState | None = None, *,
+                    stats: tuple[np.ndarray, np.ndarray]) -> None:
+    """Serialize the full training state; atomic on POSIX rename. stats is
+    the (mean, std) per image channel that standardized the training
+    data."""
     arrays: dict[str, np.ndarray] = dict(net.parameters())
     arrays.update({f"opt.{k}": v for k, v in optimizer.velocities.items()})
     arrays.update({f"state.{k}": v for k, v in net.bn_state().items()})
@@ -79,6 +85,8 @@ def save_checkpoint(path: str, net: DgcNetwork, optimizer: SGD, epoch: int,
         else threshold_state.last_update_epoch,
         "bn_batches_tracked": net.bn_batches_tracked(),
         "rng_state": rng.bit_generator.state,
+        "mean": [float(v) for v in stats[0]],
+        "std": [float(v) for v in stats[1]],
         "params": table,
         "blob_elements": offset,
     }
@@ -142,6 +150,12 @@ def load_checkpoint(path: str) -> Checkpoint:
         raise ValueError(f"{path}: manifest covers {expect} of {elements} "
                          f"blob elements")
 
+    mean, std = (np.array(manifest[key], dtype=np.float64)
+                 for key in ("mean", "std"))
+    if mean.ndim != 1 or std.shape != mean.shape or not np.all(std > 0):
+        raise ValueError(f"{path}: manifest mean and std must be equal-length "
+                         f"lists with std > 0")
+
     return Checkpoint(
         config=parse_config(manifest["config"]),
         epoch=manifest["epoch"],
@@ -150,6 +164,7 @@ def load_checkpoint(path: str) -> Checkpoint:
         threshold=manifest["threshold"],
         threshold_last_update=manifest["threshold_last_update"],
         rng_state=manifest["rng_state"],
+        stats=(mean, std),
     )
 
 

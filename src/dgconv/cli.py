@@ -1,10 +1,12 @@
 """Command-line tools: train, evaluate, benchmark, visualize.
 
 Each command prints a header line naming the command and the active
-seed, so any output can be attributed to a reproducible run.  Without
---dataset the commands operate on the built-in synthetic image set;
---dataset accepts a binary batch file (3073-byte records) or a
-directory of them.
+seed, so any output can be attributed to a reproducible run; train also
+prints one progress line per epoch to stderr. Without --dataset the
+commands operate on the built-in synthetic image set; --dataset accepts
+a binary batch file (3073-byte records) or a directory of them. eval and
+visualize standardize images with the training statistics stored in the
+checkpoint.
 
 Exit codes: 0 success, 1 usage error, 2 numeric failure, 3 assertion
 failure (benchmark ordering).
@@ -17,6 +19,9 @@ import dataclasses
 import os
 import re
 import sys
+import time
+
+import numpy as np
 
 from .checkpoint import load_checkpoint, restore_network, restore_threshold
 from .config import TrainConfig, parse_config_file
@@ -153,11 +158,31 @@ def _train_data(args, cfg: TrainConfig) -> DatasetSource:
                          args.eval_count)[0]
 
 
-def _eval_data(args, cfg: TrainConfig, seed: int) -> DatasetSource:
+def _eval_data(args, cfg: TrainConfig, seed: int,
+               stats: tuple[np.ndarray, np.ndarray]) -> DatasetSource:
+    """The evaluation images, standardized with the training statistics
+    stats stored in the checkpoint."""
     if args.dataset:
-        return load_cifar10(_binary_paths(args.dataset))
-    return _synth_splits(cfg.classes, seed, args.train_count,
+        return load_cifar10(_binary_paths(args.dataset), stats)
+    held = _synth_splits(cfg.classes, seed, args.train_count,
                          args.eval_count)[1]
+    return DatasetSource.from_arrays(held.images, held.labels, stats)
+
+
+def _progress_printer(epochs: int):
+    """fit's epoch_hook for cmd_train: one line per finished epoch on
+    stderr; seconds run from the previous line (the first from the call
+    to fit) and include the epoch's checkpoint write."""
+    last = [time.perf_counter()]
+
+    def hook(epoch, metrics, _net) -> None:
+        now = time.perf_counter()
+        print(f"epoch {epoch + 1}/{epochs}: loss={metrics.loss_total:.6g} "
+              f"realized_prune_rate={metrics.realized_prune_rate:.4f} "
+              f"seconds={now - last[0]:.2f}", file=sys.stderr, flush=True)
+        last[0] = now
+
+    return hook
 
 
 def cmd_train(args) -> int:
@@ -175,7 +200,8 @@ def cmd_train(args) -> int:
     with limit_threads(args.threads):
         result = fit(cfg, data, metrics_path=metrics_path,
                      checkpoint_path=checkpoint_path,
-                     resume_from=args.resume)
+                     resume_from=args.resume,
+                     epoch_hook=_progress_printer(cfg.epochs))
     print(METRICS_HEADER)
     for m in result.history[-1:]:
         print(m.csv_line())
@@ -192,7 +218,7 @@ def cmd_eval(args) -> int:
     threshold_state = None
     if cfg.gating == "global":
         threshold_state = restore_threshold(ckpt)
-    data = _eval_data(args, cfg, seed)
+    data = _eval_data(args, cfg, seed, ckpt.stats)
     with limit_threads(args.threads):
         metrics = evaluate(net, data, threshold_state,
                            batch_size=args.batch_size)
@@ -262,7 +288,7 @@ def cmd_visualize(args) -> int:
         gating = GlobalGating(state.threshold)
     else:
         gating = HeadwiseGating(cfg.prune_rate)
-    data = _eval_data(args, cfg, seed)
+    data = _eval_data(args, cfg, seed, ckpt.stats)
     if args.count < 1:
         raise CliError("--count must be positive")
     count = min(args.count, data.images.shape[0])

@@ -17,11 +17,14 @@ The patch matrix is channel-major: im2col(x) is (N, C*k*k, H'*W'), row
 c*k*k + a*k + b of sample n holding tap (a, b) of channel c at every
 output pixel. It is one copy of a window view of the padded input, and a
 GEMM W (C', C*k*k) @ cols[n] gives sample n's output already in NCHW
-order.
+order. col2im, its adjoint, is one np.bincount over a memoized index of
+each entry's padded position, equal bit for bit to the loop of k^2
+strided slice additions it replaces.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -124,18 +127,40 @@ def im2col(x: np.ndarray, k: int, stride: int, pad: int) -> tuple[np.ndarray, in
 def col2im(gcols: np.ndarray, x_shape: tuple[int, ...], k: int, stride: int,
            pad: int) -> np.ndarray:
     """Scatter-add patch-matrix gradients (N, C*k*k, H'*W') back to input
-    layout: the adjoint of im2col."""
+    layout: the adjoint of im2col.
+
+    One np.bincount over the flat padded positions of every patch-matrix
+    entry. bincount starts each position at zero and adds its entries in
+    array order, tap (a, b) by tap, so the sums are those of a loop of
+    k^2 strided slice additions, bit for bit.
+    """
     n, c, h, w = x_shape
-    oh = conv_output_size(h, k, stride, pad)
-    ow = conv_output_size(w, k, stride, pad)
-    g = gcols.reshape(n, c, k, k, oh, ow)
-    gx = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
-    for a in range(k):
-        for b in range(k):
-            gx[:, :, a:a + oh * stride:stride, b:b + ow * stride:stride] += g[:, :, a, b]
+    hp, wp = h + 2 * pad, w + 2 * pad
+    plane = c * hp * wp
+    index = _col2im_index(c, hp, wp, k, stride)
+    index = (index + np.arange(0, n * plane, plane)[:, None]).ravel()
+    gx = np.bincount(index, weights=gcols.ravel(), minlength=n * plane)
+    gx = gx.reshape(n, c, hp, wp)
     if pad:
         gx = gx[:, :, pad:pad + h, pad:pad + w]
     return gx
+
+
+@functools.lru_cache(maxsize=64)
+def _col2im_index(c: int, hp: int, wp: int, k: int, stride: int) -> np.ndarray:
+    """Flat position in one zero-padded (C, Hp, Wp) sample of each entry
+    of its patch matrix, in the matrix's (c, a, b, i, j) order; read-only,
+    as it is shared between calls."""
+    oh = conv_output_size(hp, k, stride, 0)
+    ow = conv_output_size(wp, k, stride, 0)
+    rows = (np.arange(c)[:, None, None] * hp
+            + np.arange(k)[None, :, None]
+            + stride * np.arange(oh)[None, None, :])        # (C, k, H')
+    cols = np.arange(k)[:, None] + stride * np.arange(ow)[None, :]   # (k, W')
+    index = (rows[:, :, None, :, None] * wp
+             + cols[None, None, :, None, :]).reshape(1, -1)
+    index.flags.writeable = False
+    return index
 
 
 def conv2d_forward(x: np.ndarray, filt: ConvFilter) -> np.ndarray:
@@ -319,14 +344,19 @@ class BatchNorm2d:
             self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var
             self.batches_tracked += 1
             self._cache = (xhat, std)
+            y = self.gamma[None, :, None, None] * xhat
         else:
             if self.batches_tracked == 0:
                 raise ValueError("batchnorm evaluation requested before any "
                                  "training batch set the running statistics")
-            std = np.sqrt(self.running_var + self.eps)
-            xhat = (x - self.running_mean[None, :, None, None]) / std[None, :, None, None]
+            # (x - mean) * (gamma / std) + beta: one allocating pass and two
+            # in place. Folding the mean into the shift, x * a + b, saves
+            # one more but cancels: it was 3.5e-11 off the exact output on
+            # a channel of mean 1e4 and sd 1e-2.
+            scale = self.gamma / np.sqrt(self.running_var + self.eps)
+            y = x - self.running_mean[None, :, None, None]
+            y *= scale[None, :, None, None]
             self._cache = None
-        y = self.gamma[None, :, None, None] * xhat
         y += self.beta[None, :, None, None]
         return y
 

@@ -283,7 +283,7 @@ def fit(config: TrainConfig, data: DatasetSource, *,
                 mfh.flush()
             if checkpoint_path is not None:
                 save_checkpoint(checkpoint_path, net, optimizer, epoch + 1,
-                                rng, threshold_state)
+                                rng, threshold_state, stats=data.stats)
             if epoch_hook is not None:
                 epoch_hook(epoch, metrics, net)
     finally:

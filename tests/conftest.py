@@ -1,5 +1,5 @@
-"""Shared oracles and helpers: naive convolution loops, finite differences
-and checkpoint manifest edits."""
+"""Shared oracles and helpers: naive convolution loops, the tap-loop
+col2im, finite differences and checkpoint manifest edits."""
 
 import json
 
@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dgconv.checkpoint import MAGIC
+from dgconv.core import conv_output_size
 
 
 def naive_conv2d(x, weights, stride=1, pad=0):
@@ -31,6 +32,20 @@ def naive_conv2d(x, weights, stride=1, pad=0):
                                         * weights[o, ch, ki, kj])
                     y[b, o, i, j] = acc
     return y
+
+
+def tap_loop_col2im(gcols, x_shape, k, stride, pad):
+    """col2im as k^2 strided slice additions into a zeroed padded array,
+    tap (a, b) by tap."""
+    n, c, h, w = x_shape
+    oh = conv_output_size(h, k, stride, pad)
+    ow = conv_output_size(w, k, stride, pad)
+    g = gcols.reshape(n, c, k, k, oh, ow)
+    gx = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
+    for a in range(k):
+        for b in range(k):
+            gx[:, :, a:a + oh * stride:stride, b:b + ow * stride:stride] += g[:, :, a, b]
+    return gx[:, :, pad:pad + h, pad:pad + w]
 
 
 def numerical_grad(f, x, eps=1e-5):

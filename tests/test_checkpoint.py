@@ -28,6 +28,8 @@ squeeze = 2
 prune_rate = 0.5
 seed = 9
 """
+# Training standardization (mean, std) per image channel.
+STATS = (np.array([0.1 / 3, 0.5, 0.7]), np.array([0.2, 1 / 7, 0.3]))
 
 
 def trained_state(seed=9):
@@ -47,7 +49,7 @@ class TestRoundTrip:
         net, opt, rng = trained_state()
         p1, p2 = str(tmp_path / "a.ckpt"), str(tmp_path / "b.ckpt")
         state = GlobalThresholdState(threshold=0.25, last_update_epoch=2)
-        save_checkpoint(p1, net, opt, epoch=3, rng=rng, threshold_state=state)
+        save_checkpoint(p1, net, opt, epoch=3, rng=rng, threshold_state=state, stats=STATS)
         ckpt = load_checkpoint(p1)
         net2 = restore_network(ckpt)
         opt2 = restore_optimizer(ckpt, net2)
@@ -55,13 +57,14 @@ class TestRoundTrip:
         rng2.bit_generator.state = ckpt.rng_state
         from dgconv.checkpoint import restore_threshold
         save_checkpoint(p2, net2, opt2, epoch=ckpt.epoch, rng=rng2,
-                        threshold_state=restore_threshold(ckpt))
+                        threshold_state=restore_threshold(ckpt),
+                        stats=ckpt.stats)
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
     def test_values_restored_exactly(self, tmp_path):
         net, opt, rng = trained_state()
         path = str(tmp_path / "c.ckpt")
-        save_checkpoint(path, net, opt, epoch=1, rng=rng)
+        save_checkpoint(path, net, opt, epoch=1, rng=rng, stats=STATS)
         originals = {k: v.copy() for k, v in net.parameters().items()}
         bn_mean = net.blocks[0].bn.running_mean.copy()
         for v in net.parameters().values():
@@ -75,7 +78,7 @@ class TestRoundTrip:
     def test_rng_state_round_trips(self, tmp_path):
         net, opt, rng = trained_state()
         path = str(tmp_path / "d.ckpt")
-        save_checkpoint(path, net, opt, epoch=1, rng=rng)
+        save_checkpoint(path, net, opt, epoch=1, rng=rng, stats=STATS)
         expect = rng.normal(size=5)
         rng2 = np.random.default_rng(123)
         rng2.bit_generator.state = load_checkpoint(path).rng_state
@@ -84,7 +87,7 @@ class TestRoundTrip:
     def test_optimizer_velocities_restored(self, tmp_path):
         net, opt, rng = trained_state()
         path = str(tmp_path / "e.ckpt")
-        save_checkpoint(path, net, opt, epoch=1, rng=rng)
+        save_checkpoint(path, net, opt, epoch=1, rng=rng, stats=STATS)
         ckpt = load_checkpoint(path)
         opt2 = restore_optimizer(ckpt, restore_network(ckpt))
         for name, v in opt.velocities.items():
@@ -95,10 +98,18 @@ class TestRoundTrip:
         net, opt, rng = trained_state()
         path = str(tmp_path / "f.ckpt")
         state = GlobalThresholdState(threshold=0.125, last_update_epoch=5)
-        save_checkpoint(path, net, opt, epoch=6, rng=rng, threshold_state=state)
+        save_checkpoint(path, net, opt, epoch=6, rng=rng, threshold_state=state, stats=STATS)
         ckpt = load_checkpoint(path)
         assert ckpt.threshold == 0.125
         assert ckpt.threshold_last_update == 5
+
+
+    def test_standardization_restored_exactly(self, tmp_path):
+        net, opt, rng = trained_state()
+        path = str(tmp_path / "g.ckpt")
+        save_checkpoint(path, net, opt, epoch=1, rng=rng, stats=STATS)
+        for got, want in zip(load_checkpoint(path).stats, STATS):
+            npt.assert_array_equal(got, want)
 
 
 class TestValidation:
@@ -111,7 +122,7 @@ class TestValidation:
     def test_truncated_blob_rejected(self, tmp_path):
         net, opt, rng = trained_state()
         path = str(tmp_path / "t.ckpt")
-        save_checkpoint(path, net, opt, epoch=1, rng=rng)
+        save_checkpoint(path, net, opt, epoch=1, rng=rng, stats=STATS)
         data = open(path, "rb").read()
         open(path, "wb").write(data[:-16])
         with pytest.raises(ValueError, match="blob"):
@@ -120,7 +131,7 @@ class TestValidation:
     def test_tampered_offsets_rejected(self, tmp_path):
         net, opt, rng = trained_state()
         path = str(tmp_path / "o.ckpt")
-        save_checkpoint(path, net, opt, epoch=1, rng=rng)
+        save_checkpoint(path, net, opt, epoch=1, rng=rng, stats=STATS)
         with open(path, "rb") as fh:
             assert fh.readline() == MAGIC
             length = int(fh.readline())
@@ -134,19 +145,31 @@ class TestValidation:
             load_checkpoint(path)
 
     @pytest.mark.parametrize("key", ["rng_state", "params", "blob_elements",
-                                     "threshold", "config"])
+                                     "threshold", "config", "mean", "std"])
     def test_missing_manifest_key_named(self, tmp_path, key):
         net, opt, rng = trained_state()
         path = str(tmp_path / "k.ckpt")
-        save_checkpoint(path, net, opt, epoch=1, rng=rng)
+        save_checkpoint(path, net, opt, epoch=1, rng=rng, stats=STATS)
         rewrite_manifest(path, lambda manifest: manifest.pop(key))
         with pytest.raises(ValueError, match=f"manifest lacks.*{key}"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda manifest: manifest["std"].pop(),
+        lambda manifest: manifest["std"].__setitem__(0, 0.0),
+    ], ids=["lengths_differ", "zero_std"])
+    def test_bad_standardization_rejected(self, tmp_path, edit):
+        net, opt, rng = trained_state()
+        path = str(tmp_path / "m.ckpt")
+        save_checkpoint(path, net, opt, epoch=1, rng=rng, stats=STATS)
+        rewrite_manifest(path, edit)
+        with pytest.raises(ValueError, match="mean and std"):
             load_checkpoint(path)
 
     def test_shape_drift_rejected(self, tmp_path):
         net, opt, rng = trained_state()
         path = str(tmp_path / "s.ckpt")
-        save_checkpoint(path, net, opt, epoch=1, rng=rng)
+        save_checkpoint(path, net, opt, epoch=1, rng=rng, stats=STATS)
         ckpt = load_checkpoint(path)
         ckpt.arrays["fc.weight"] = ckpt.arrays["fc.weight"][:, :1]
         with pytest.raises(ValueError, match="shape"):
@@ -155,7 +178,7 @@ class TestValidation:
     def test_failed_save_leaves_no_partial_file(self, tmp_path, monkeypatch):
         net, opt, rng = trained_state()
         path = str(tmp_path / "atomic.ckpt")
-        save_checkpoint(path, net, opt, epoch=1, rng=rng)
+        save_checkpoint(path, net, opt, epoch=1, rng=rng, stats=STATS)
         before = open(path, "rb").read()
 
         import dgconv.checkpoint as cp
@@ -165,7 +188,7 @@ class TestValidation:
 
         monkeypatch.setattr(cp.os, "replace", boom)
         with pytest.raises(OSError):
-            save_checkpoint(path, net, opt, epoch=2, rng=rng)
+            save_checkpoint(path, net, opt, epoch=2, rng=rng, stats=STATS)
         monkeypatch.undo()
         assert open(path, "rb").read() == before
         leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]

@@ -1,14 +1,18 @@
 """Command-line interface tests: exit codes, file outputs, determinism."""
 
 import os
+import re
 
+import numpy as np
+import numpy.testing as npt
 import pytest
 
 from dgconv.cli import EXIT_ASSERT, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from dgconv.checkpoint import load_checkpoint, restore_network
-from dgconv.data import synth_dataset, write_cifar10
+from dgconv.data import load_cifar10, synth_dataset, write_cifar10
 from dgconv.runtime import BenchResult, read_bench_csv
-from dgconv.train import evaluate, read_eval_csv, read_metrics_csv
+from dgconv.train import (METRICS_HEADER, evaluate, read_eval_csv,
+                          read_metrics_csv)
 from dgconv.vis import read_matrix_csv
 from conftest import rewrite_manifest
 
@@ -32,6 +36,17 @@ def cfg_path(tmp_path):
     path = tmp_path / "tiny.cfg"
     path.write_text(CFG)
     return str(path)
+
+
+def shifted_datasets(tmp_path):
+    """A training file and an evaluation file whose own per-channel
+    statistics differ: the evaluation images are squeezed and brightened."""
+    train = synth_dataset(seed=0, classes=2, count=96)
+    held = synth_dataset(seed=1, classes=2, count=48)
+    train_bin, eval_bin = str(tmp_path / "train.bin"), str(tmp_path / "eval.bin")
+    write_cifar10(train_bin, train.images, train.labels)
+    write_cifar10(eval_bin, 0.5 * held.images + 0.4, held.labels)
+    return train_bin, eval_bin
 
 
 def run_train(tmp_path, cfg_path, name="run", extra=()):
@@ -86,6 +101,32 @@ class TestTrain:
         head = capsys.readouterr().out.splitlines()[0]
         assert head.startswith("# dgconv train seed=3")
         assert os.path.exists(os.path.join(out, "model.ckpt"))
+
+    def test_progress_on_stderr_and_stdout_unchanged(self, tmp_path,
+                                                     cfg_path, capsys):
+        code, out = run_train(tmp_path, cfg_path)
+        assert code == EXIT_OK
+        captured = capsys.readouterr()
+        metrics_path = os.path.join(out, "metrics.csv")
+        history = read_metrics_csv(metrics_path)
+        assert captured.out.splitlines() == [
+            f"# dgconv train seed=3 config={cfg_path} epochs=2 images=96",
+            METRICS_HEADER,
+            history[-1].csv_line(),
+            f"metrics: {metrics_path}",
+            f"checkpoint: {os.path.join(out, 'model.ckpt')}",
+        ]
+        lines = captured.err.splitlines()
+        assert len(lines) == len(history) == 2
+        for i, (line, m) in enumerate(zip(lines, history)):
+            match = re.fullmatch(r"epoch (\d+)/2: loss=(\S+) "
+                                 r"realized_prune_rate=(\S+) seconds=(\S+)",
+                                 line)
+            assert match, line
+            assert int(match[1]) == i + 1
+            assert match[2] == f"{m.loss_total:.6g}"
+            assert match[3] == f"{m.realized_prune_rate:.4f}"
+            assert float(match[4]) >= 0
 
     def test_seed_flag_overrides_config(self, tmp_path, cfg_path, capsys):
         code, _ = run_train(tmp_path, cfg_path,
@@ -227,6 +268,43 @@ class TestEval:
         assert code == EXIT_USAGE
         assert "--batch-size: must be >= 1, got 0" in capsys.readouterr().err
 
+    def test_checkpoint_without_standardization_is_usage_error(
+            self, tmp_path, cfg_path, capsys):
+        _, out = run_train(tmp_path, cfg_path, extra=["--epochs", "1"])
+        ckpt = os.path.join(out, "model.ckpt")
+        rewrite_manifest(ckpt, lambda manifest: [manifest.pop(key)
+                                                 for key in ("mean", "std")])
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", ckpt, *DATA_ARGS]) == EXIT_USAGE
+        assert "manifest lacks mean, std" in capsys.readouterr().err
+        code = main(["visualize", "--checkpoint", ckpt,
+                     "--out", str(tmp_path / "vis"), *DATA_ARGS])
+        assert code == EXIT_USAGE
+        assert "manifest lacks mean, std" in capsys.readouterr().err
+
+    def test_dataset_standardized_with_training_statistics(
+            self, tmp_path, cfg_path, capsys):
+        train_bin, eval_bin = shifted_datasets(tmp_path)
+        out = str(tmp_path / "run")
+        assert main(["train", "--config", cfg_path, "--out", out,
+                     "--dataset", train_bin, "--epochs", "1"]) == EXIT_OK
+        ckpt_path = os.path.join(out, "model.ckpt")
+        table = str(tmp_path / "eval.csv")
+        assert main(["eval", "--checkpoint", ckpt_path, "--dataset", eval_bin,
+                     "--out", table]) == EXIT_OK
+        capsys.readouterr()
+        with open(table) as fh:
+            parsed = read_eval_csv(fh.read().splitlines())
+        ckpt = load_checkpoint(ckpt_path)
+        stats = load_cifar10(train_bin).stats
+        for got, want in zip(ckpt.stats, stats):
+            npt.assert_array_equal(got, want)
+        net = restore_network(ckpt)
+        direct = evaluate(net, load_cifar10(eval_bin, stats))
+        assert parsed.csv_lines() == direct.csv_lines()
+        own = evaluate(net, load_cifar10(eval_bin))
+        assert own.csv_lines() != direct.csv_lines()
+
     def test_missing_checkpoint_is_usage_error(self, tmp_path, capsys):
         code = main(["eval", "--checkpoint", str(tmp_path / "no.ckpt")])
         assert code == EXIT_USAGE
@@ -305,6 +383,31 @@ class TestBench:
 
 
 class TestVisualize:
+    def test_dataset_standardized_with_training_statistics(
+            self, tmp_path, cfg_path, monkeypatch, capsys):
+        import dgconv.cli as cli
+        train_bin, eval_bin = shifted_datasets(tmp_path)
+        out = str(tmp_path / "run")
+        assert main(["train", "--config", cfg_path, "--out", out,
+                     "--dataset", train_bin, "--epochs", "1"]) == EXIT_OK
+        traced = []
+
+        def collect(net, images, *args, **kw):
+            traced.append(images)
+            return real(net, images, *args, **kw)
+
+        real = cli.collect_bundle
+        monkeypatch.setattr(cli, "collect_bundle", collect)
+        assert main(["visualize", "--checkpoint",
+                     os.path.join(out, "model.ckpt"), "--out",
+                     str(tmp_path / "vis"), "--dataset", eval_bin,
+                     "--count", "4"]) == EXIT_OK
+        capsys.readouterr()
+        mean, std = load_cifar10(train_bin).stats
+        images = load_cifar10(eval_bin).images[:4]
+        npt.assert_array_equal(traced[0], (images - mean[:, None, None])
+                               / std[:, None, None])
+
     def test_exports_deterministic_files(self, tmp_path, cfg_path, capsys):
         _, out = run_train(tmp_path, cfg_path)
         ckpt = os.path.join(out, "model.ckpt")

@@ -23,7 +23,7 @@ from dgconv.core import (
     softmax_cross_entropy,
 )
 
-from conftest import naive_conv2d, numerical_grad, rel_error
+from conftest import naive_conv2d, numerical_grad, rel_error, tap_loop_col2im
 
 
 class TestConvForward:
@@ -182,6 +182,23 @@ class TestPatchMatrix:
                                         == xpad[n, c, i * stride + a,
                                                 j * stride + b])
 
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("k,stride,pad",
+                             [(k, s, p) for k in (1, 3, 5) for s in (1, 2, 3)
+                              for p in (0, 1, 2)])
+    def test_col2im_equals_tap_loop_bit_for_bit(self, rng, k, stride, pad,
+                                                batch):
+        shape = (batch, 2, 7, 6)
+        oh = core.conv_output_size(7, k, stride, pad)
+        ow = core.conv_output_size(6, k, stride, pad)
+        g = rng.normal(size=(batch, 2 * k * k, oh * ow))
+        strided = rng.normal(size=(batch, 2 * k * k, 2 * oh * ow))[:, :, ::2]
+        for gcols in (g, strided):
+            got = core.col2im(gcols, shape, k, stride, pad)
+            assert got.shape == shape
+            npt.assert_array_equal(got, tap_loop_col2im(gcols, shape, k,
+                                                        stride, pad))
+
     @pytest.mark.parametrize("k,stride,pad", GEOMETRIES)
     def test_col2im_is_the_adjoint(self, rng, k, stride, pad):
         x = rng.normal(size=(2, 3, 6, 7))
@@ -292,6 +309,22 @@ class TestBatchNorm:
         assert rel_error(bn.grad_gamma, numerical_grad(loss, bn.gamma)) < 1e-5
         assert rel_error(bn.grad_beta, numerical_grad(loss, bn.beta)) < 1e-5
 
+    def test_eval_matches_four_pass_formula(self, rng):
+        # Channel 1 has mean 1e4 and sd 1e-2, where x * a + (beta - a *
+        # mean) loses about six digits to cancellation.
+        x = rng.normal(size=(8, 3, 5, 5))
+        x[:, 1] = 1e4 + 1e-2 * x[:, 1]
+        bn = BatchNorm2d(3, momentum=1.0)   # running stats = batch stats
+        bn.forward(x, training=True)
+        bn.gamma[:] = [0.5, 2.0, -1.5]
+        bn.beta[:] = [0.25, -3.0, 1.0]
+        y = bn.forward(x, training=False)
+        std = np.sqrt(bn.running_var + bn.eps)[None, :, None, None]
+        ref = ((x - bn.running_mean[None, :, None, None]) / std
+               * bn.gamma[None, :, None, None] + bn.beta[None, :, None, None])
+        for c in range(3):
+            npt.assert_allclose(y[:, c], ref[:, c], rtol=0,
+                                atol=1e-12 * np.abs(ref[:, c]).max())
 
     def test_large_mean_small_spread_matches_two_pass(self, rng):
         # Channel 1 has mean 1e4 and sd 1e-2: E[x^2] - mean^2 loses about

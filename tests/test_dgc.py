@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dgconv.core import ConvFilter, conv2d_forward
+from dgconv.core import ConvFilter, conv2d_forward, im2col
 from dgconv.dgc import (
     DgcForward,
     DgcLayerConfig,
@@ -32,7 +32,7 @@ from dgconv.dgc import (
     sgc_forward,
 )
 from dgconv.runtime import build_index_plan
-from conftest import naive_conv2d, numerical_grad, rel_error
+from conftest import naive_conv2d, numerical_grad, rel_error, tap_loop_col2im
 
 SMALL = DgcLayerConfig(in_channels=4, out_channels=4, kernel_size=3, stride=1,
                        padding=1, heads=2, squeeze=2, prune_rate=0.5)
@@ -365,6 +365,46 @@ GRADIENT_CASES = {
 }
 
 
+def per_head_backward(x, layer, fwd, grad_out, lasso_coeff):
+    """dgc_backward by a second formulation: the gate indexed per
+    (channel, tap), einsum contractions over (o, c, t), a tap-loop col2im
+    and the saliency path added to the input gradient head by head."""
+    cfg = layer.config
+    n, k, co = x.shape[0], cfg.kernel_size, cfg.head_out_channels
+    cols = im2col(x, k, cfg.stride, cfg.padding)[0]
+    ghat = np.where(np.stack(fwd.masks, axis=1),
+                    np.stack(fwd.saliencies, axis=1), 0.0)
+    w = np.stack([head.filters for head in layer.heads], axis=1).reshape(
+        co, cfg.heads, cfg.in_channels, k * k)
+    gy = grad_out.reshape(n, cfg.out_channels, -1)
+    m = np.matmul(gy, cols.transpose(0, 2, 1)).reshape(n, *w.shape)
+    grad_w = np.einsum("nohct,nhc->ohct", m, ghat)
+    gg_heads = np.einsum("nohct,ohct->nhc", m, w)
+    wn = (w * ghat[:, None, :, :, None]).reshape(n, cfg.out_channels, -1)
+    grad_x = tap_loop_col2im(np.matmul(wn.transpose(0, 2, 1), gy), x.shape,
+                             k, cfg.stride, cfg.padding)
+    ref = {"grad_filters": [], "grad_w_squeeze": [], "grad_b_squeeze": [],
+           "grad_w_expand": [], "grad_b_expand": []}
+    p = x.mean(axis=(2, 3))
+    for i, head in enumerate(layer.heads):
+        z1 = p @ head.w_squeeze.T + head.b_squeeze
+        a1 = np.maximum(z1, 0.0)
+        z2 = a1 @ head.w_expand.T + head.b_expand
+        gg = gg_heads[:, i] * fwd.masks[i] \
+            + lasso_coeff * np.sign(fwd.saliencies[i])
+        gz2 = gg if fwd.keep_sign else gg * (z2 > 0)
+        gz1 = (gz2 @ head.w_expand) * (z1 > 0)
+        grad_x += (gz1 @ head.w_squeeze)[:, :, None, None] / (
+            x.shape[2] * x.shape[3])
+        ref["grad_filters"].append(grad_w[:, i].reshape(head.filters.shape))
+        ref["grad_w_expand"].append(gz2.T @ a1)
+        ref["grad_b_expand"].append(gz2.sum(axis=0))
+        ref["grad_w_squeeze"].append(gz1.T @ p)
+        ref["grad_b_squeeze"].append(gz1.sum(axis=0))
+    ref["grad_input"] = grad_x
+    return ref
+
+
 class TestBackward:
     def loss_setup(self, **case):
         layer, x = stable_setup(**case)
@@ -392,6 +432,17 @@ class TestBackward:
 
         num = numerical_grad(f, x)
         assert rel_error(grads.grad_input, num) < 1e-5
+
+    @pytest.mark.parametrize("case", GRADIENT_CASES)
+    def test_matches_per_head_reference(self, case):
+        layer, x, gating, r = self.loss_setup(**GRADIENT_CASES[case])
+        fwd, grads = self.run_backward(layer, x, gating, r, lasso_coeff=1e-3)
+        ref = per_head_backward(x, layer, fwd, r, lasso_coeff=1e-3)
+        pairs = [("grad_input", grads.grad_input, ref.pop("grad_input"))]
+        pairs += [(name, a, b) for name, want in ref.items()
+                  for a, b in zip(getattr(grads, name), want)]
+        for name, a, b in pairs:
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
 
     @pytest.mark.parametrize("case", GRADIENT_CASES)
     def test_parameter_gradients(self, case):
