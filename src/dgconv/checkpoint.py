@@ -22,6 +22,7 @@ save never leaves a partial checkpoint behind.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -120,6 +121,8 @@ def load_checkpoint(path: str) -> Checkpoint:
             length = int(fh.readline().strip())
         except ValueError as exc:
             raise ValueError(f"{path}: unreadable manifest length") from exc
+        if not 0 <= length <= os.fstat(fh.fileno()).st_size:
+            raise ValueError(f"{path}: manifest length {length} out of range")
         payload = fh.read(length)
         if len(payload) != length:
             raise ValueError(f"{path}: truncated manifest")
@@ -129,6 +132,7 @@ def load_checkpoint(path: str) -> Checkpoint:
                if not isinstance(manifest, dict) or key not in manifest]
     if missing:
         raise ValueError(f"{path}: manifest lacks {', '.join(missing)}")
+    _check_manifest(path, manifest)
 
     elements = manifest["blob_elements"]
     if len(blob) != 8 * elements:
@@ -143,18 +147,20 @@ def load_checkpoint(path: str) -> Checkpoint:
             raise ValueError(f"{path}: manifest offsets do not partition the "
                              f"blob at {name!r} (offset {offset}, expected "
                              f"{expect})")
-        size = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        arrays[name] = flat[offset:offset + size].reshape(shape).copy()
-        expect = offset + size
+        expect = offset + math.prod(shape)
+        if expect > elements:
+            raise ValueError(f"{path}: parameter {name!r} ends at element "
+                             f"{expect}, past the blob's {elements}")
+        arrays[name] = flat[offset:expect].reshape(shape).copy()
     if expect != elements:
         raise ValueError(f"{path}: manifest covers {expect} of {elements} "
                          f"blob elements")
 
     mean, std = (np.array(manifest[key], dtype=np.float64)
                  for key in ("mean", "std"))
-    if mean.ndim != 1 or std.shape != mean.shape or not np.all(std > 0):
-        raise ValueError(f"{path}: manifest mean and std must be equal-length "
-                         f"lists with std > 0")
+    if mean.size == 0 or std.shape != mean.shape or not np.all(std > 0):
+        raise ValueError(f"{path}: manifest mean and std must be non-empty "
+                         f"equal-length lists with std > 0")
 
     return Checkpoint(
         config=parse_config(manifest["config"]),
@@ -166,6 +172,62 @@ def load_checkpoint(path: str) -> Checkpoint:
         rng_state=manifest["rng_state"],
         stats=(mean, std),
     )
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:       # an integer beyond the float range
+        return False
+
+
+def _check_manifest(path: str, manifest: dict) -> None:
+    """Reject a manifest value of the wrong type or range with a
+    ValueError naming its key; the RNG state must restore a PCG64."""
+    def count(v):
+        return _is_int(v) and v >= 0
+
+    def counts(v):
+        return isinstance(v, list) and all(count(e) for e in v)
+
+    def finite_list(v):
+        return isinstance(v, list) and all(_is_finite(e) for e in v)
+
+    def param_row(row):
+        return (isinstance(row, list) and len(row) == 3
+                and isinstance(row[0], str) and counts(row[1])
+                and count(row[2]))
+
+    rules = {
+        "config": ("config text", lambda v: isinstance(v, str)),
+        "epoch": ("an integer >= 0", count),
+        "bn_batches_tracked": ("a list of integers >= 0", counts),
+        "threshold": ("null or a finite number",
+                      lambda v: v is None or _is_finite(v)),
+        "threshold_last_update": ("null or an integer",
+                                  lambda v: v is None or _is_int(v)),
+        "mean": ("a list of finite numbers", finite_list),
+        "std": ("a list of finite numbers", finite_list),
+        "params": ("a list of [name, shape, offset] rows",
+                   lambda v: isinstance(v, list)
+                   and all(param_row(r) for r in v)),
+        "blob_elements": ("an integer >= 0", count),
+    }
+    for key, (want, ok) in rules.items():
+        if not ok(manifest[key]):
+            raise ValueError(f"{path}: manifest {key} must be {want}, got "
+                             f"{manifest[key]!r:.60}")
+    try:
+        np.random.default_rng(0).bit_generator.state = manifest["rng_state"]
+    except (TypeError, ValueError, KeyError, OverflowError) as exc:
+        raise ValueError(f"{path}: manifest rng_state does not restore a "
+                         f"PCG64 generator: {exc}") from exc
 
 
 def restore_network(ckpt: Checkpoint) -> DgcNetwork:

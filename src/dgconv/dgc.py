@@ -24,9 +24,11 @@ one col2im; the saliency gradient follows from
 <col2im(G), x> = <G, im2col(x)>. The gate is repeated over the k*k taps
 once per layer, so the gated filters and the filter gradient are
 products along the contiguous C*k*k axis; both gradients are einsum
-contractions of M[n] = grad_out[n] @ cols[n]^T that allocate no second
-array the size of M. Filter slices of channels no sample selected get
-exactly zero gradient. Evaluation runs three phases, each
+contractions of M[n] = grad_out[n] @ cols[n]^T. The per-sample work
+runs in blocks of samples (GATED_BLOCK_ELEMENTS) so that a block's
+filters wn and its M stay in cache through every operation on them; wn
+is rebuilt in the backward, not kept. Filter slices of channels no
+sample selected get exactly zero gradient. Evaluation runs three phases, each
 timed by the batch-1 benchmark: saliency (pool once, every head's MLP),
 index (gate; per head and kept count the sample rows, channel indices
 and amplifications) and conv (per group the gathered banks and one
@@ -336,6 +338,42 @@ def _conv_phase(x: np.ndarray, layer: DgcLayer, groups) -> np.ndarray:
     return out
 
 
+# The training pass works through the batch in sample blocks, so a
+# block's per-sample filters wn (and, backward, its M) stay in the 2 MiB
+# L2 while every operation that reads them runs. Sweep of the block size:
+# ms per step inside the desk model's 4-epoch fit (perfbench train_desk,
+# batch 64, 1 BLAS thread; median of 5 fresh processes per variant, each
+# the median of 8 epochs, variants shuffled; "unblocked" is the code
+# before blocking, which kept the whole batch's wn for the backward):
+#
+#   unblocked   2^15   2^16   2^17   2^18   one block
+#     40.8      38.5   36.7   37.8   37.8     38.5
+#
+# The spread between processes is about 1.5 ms, so 2^16 to 2^18 are
+# level. At 2^17 doubles (1 MiB) the desk layers at batch 64 run in 1, 3
+# and 10 blocks; the 32->64 layer's whole-batch wn is 9.4 MB. Timed alone
+# in a fresh process a layer is no guide: there glibc returns its large
+# temporaries to the kernel between calls, and the page faults on
+# reallocating them outweigh the cache effect (inside fit: ~0 per step).
+GATED_BLOCK_ELEMENTS = 2 ** 17     # doubles of wn (or M) per sample block
+
+
+def _sample_blocks(n: int, per_sample: int) -> list[slice]:
+    """Consecutive sample blocks of a batch of n whose per-sample filters,
+    per_sample = C' * C * k * k doubles each, fill about
+    GATED_BLOCK_ELEMENTS; the block length reads the layer's shape, never
+    the batch size."""
+    step = max(1, GATED_BLOCK_ELEMENTS // per_sample)
+    return [slice(s, s + step) for s in range(0, n, step)]
+
+
+def _gated_filters(w: np.ndarray, ghat_r: np.ndarray) -> np.ndarray:
+    """Per-sample filters wn (r, C', C*k*k) of the stacked filters w
+    (C'/heads, heads, C*k*k) and a block's repeated gates ghat_r
+    (r, heads, C*k*k); row o * heads + h of wn[n] is head h's filter o."""
+    return (w * ghat_r[:, None]).reshape(ghat_r.shape[0], -1, w.shape[2])
+
+
 def dgc_forward(x: np.ndarray, layer: DgcLayer,
                 gating: HeadwiseGating | GlobalGating, *,
                 training: bool = True) -> DgcForward:
@@ -343,7 +381,8 @@ def dgc_forward(x: np.ndarray, layer: DgcLayer,
 
     Output shape is (N, C', H', W') regardless of how many channels each
     head kept. Training runs one GEMM per sample of the gated filters and
-    im2col(x) and caches intermediates for dgc_backward; evaluation runs
+    im2col(x), building the filters one sample block at a time, and
+    caches intermediates for dgc_backward; evaluation runs
     the saliency, index and conv phases, one gathered_conv per head and
     kept count.
     """
@@ -374,13 +413,14 @@ def dgc_forward(x: np.ndarray, layer: DgcLayer,
     # Row o * heads + h of w is head h's filter o: the output lands shuffled.
     w = np.stack([head.filters for head in layer.heads], axis=1).reshape(
         co, cfg.heads, -1)
-    wn = (w * ghat_r[:, None]).reshape(n, cfg.out_channels, -1)
     # cols[n] is (C*k*k, H'*W'), so wn[n] @ cols[n] writes NCHW directly.
     cols = im2col(x, k, stride, pad)[0]
-    np.matmul(wn, cols, out=out.reshape(n, cfg.out_channels, -1))
+    out3 = out.reshape(n, cfg.out_channels, -1)
+    for b in _sample_blocks(n, w.size):
+        np.matmul(_gated_filters(w, ghat_r[b]), cols[b], out=out3[b])
     return DgcForward(out, saliencies, masks, keep_sign,
                       {"x": x, "cols": cols, "ghat_r": ghat_r, "w": w,
-                       "wn": wn, "heads": head_caches})
+                       "heads": head_caches})
 
 
 @dataclass
@@ -404,6 +444,10 @@ def dgc_backward(fwd: DgcForward, layer: DgcLayer, grad_out: np.ndarray,
     slices for channels no sample selected receive exactly zero gradient
     (their g_hat column is exactly zero). Both the filter and the saliency
     gradients are weighted sums of M[n] = grad_out[n] @ im2col(x)[n].T.
+    Each sample block of the forward forms its M, adds its share of the
+    filter gradient, writes its rows of the saliency gradient and, with
+    input_grad, rebuilds its gated filters wn to write its rows of
+    gcols = wn^T @ grad_out; one col2im then maps the assembled gcols.
 
     lasso_coeff is the per-element L1 multiplier on the saliencies,
     already divided by (layers * heads * batch) by the caller.
@@ -423,14 +467,24 @@ def dgc_backward(fwd: DgcForward, layer: DgcLayer, grad_out: np.ndarray,
     n, hw = x.shape[0], x.shape[2] * x.shape[3]
     co, heads, kk = w.shape[0], cfg.heads, cfg.kernel_size ** 2
 
-    gy = grad_out.reshape(n, cfg.out_channels, -1)     # rows match cache["wn"]
-    m = np.matmul(gy, cols.transpose(0, 2, 1)).reshape(n, co, heads, -1)
-    # m is (N, C'/heads, heads, C*k*k); contract it with no temporary its
-    # size. The saliency gradient sums over o along the contiguous C*k*k
-    # axis, then over the taps: 30% faster than one einsum over (o, tap).
-    grad_w = np.einsum("nohj,nhj->ohj", m, ghat_r)
-    gg_heads = np.einsum("nohj,ohj->nhj", m, w).reshape(
-        n, heads, -1, kk).sum(axis=3)
+    # Rows of gy match those of _gated_filters: o * heads + h.
+    gy = grad_out.reshape(n, cfg.out_channels, -1)
+    grad_w = np.zeros_like(w)
+    gg_heads = np.empty((n, heads, cfg.in_channels))
+    gcols = np.empty_like(cols) if input_grad else None
+    for b in _sample_blocks(n, w.size):
+        # m is (block, C'/heads, heads, C*k*k); contract it with no
+        # temporary its size. The saliency gradient sums over o along the
+        # contiguous C*k*k axis, then over the taps: 30% faster than one
+        # einsum over (o, tap).
+        m = np.matmul(gy[b], cols[b].transpose(0, 2, 1)).reshape(
+            -1, co, heads, w.shape[2])
+        grad_w += np.einsum("nohj,nhj->ohj", m, ghat_r[b])
+        gg_heads[b] = np.einsum("nohj,ohj->nhj", m, w).reshape(
+            -1, heads, cfg.in_channels, kk).sum(axis=3)
+        if input_grad:
+            np.matmul(_gated_filters(w, ghat_r[b]).transpose(0, 2, 1), gy[b],
+                      out=gcols[b])
     grads = DgcGrads(None, [], [], [], [], [])
     gp = np.zeros((n, cfg.in_channels))     # gradient w.r.t. the pooled means
     for i, (head, hc) in enumerate(zip(layer.heads, cache["heads"])):
@@ -450,7 +504,6 @@ def dgc_backward(fwd: DgcForward, layer: DgcLayer, grad_out: np.ndarray,
         grads.grad_w_squeeze.append(gz1.T @ hc["p"])
         grads.grad_b_squeeze.append(gz1.sum(axis=0))
     if input_grad:
-        gcols = np.matmul(cache["wn"].transpose(0, 2, 1), gy)
         grads.grad_input = col2im(gcols, x.shape, cfg.kernel_size, cfg.stride,
                                   cfg.padding)
         grads.grad_input += (gp / hw)[:, :, None, None]

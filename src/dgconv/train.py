@@ -233,6 +233,12 @@ def fit(config: TrainConfig, data: DatasetSource, *,
         ckpt = load_checkpoint(resume_from)
         if serialize_config(ckpt.config) != serialize_config(config):
             raise ValueError("resume config differs from checkpoint config")
+        if not all(np.array_equal(a, b) for a, b in zip(data.stats, ckpt.stats)):
+            raise ValueError(
+                f"resume data statistics differ from the checkpoint's: data "
+                f"mean {data.stats[0].tolist()} std {data.stats[1].tolist()}, "
+                f"checkpoint mean {ckpt.stats[0].tolist()} std "
+                f"{ckpt.stats[1].tolist()}")
         net = restore_network(ckpt)
         optimizer = restore_optimizer(ckpt, net)
         rng = np.random.default_rng(0)

@@ -1,10 +1,14 @@
 """Checkpoint format, validation, and lossless round trips."""
 
 import json
+import os
+import tempfile
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dgconv.checkpoint import (
     MAGIC,
@@ -193,3 +197,97 @@ class TestValidation:
         assert open(path, "rb").read() == before
         leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
         assert not leftovers
+
+
+class TestManifestTypes:
+    @pytest.mark.parametrize("key,value,want", [
+        ("mean", {"a": 1}, "mean must be a list of finite numbers"),
+        ("mean", [float("nan")] * 3, "mean must be a list of finite numbers"),
+        ("std", [float("inf")] * 3, "std must be a list of finite numbers"),
+        ("mean", [], "non-empty"),
+        ("blob_elements", None, "blob_elements must be an integer"),
+        ("blob_elements", True, "blob_elements must be an integer"),
+        ("params", 5, "params must be a list"),
+        ("params", [["fc.weight", [2, -1], 0]], "params must be a list"),
+        ("config", 7, "config must be config text"),
+        ("epoch", 1.5, "epoch must be an integer"),
+        ("bn_batches_tracked", [None], "bn_batches_tracked must be"),
+        ("threshold", "0.5", "threshold must be null or a finite number"),
+        ("threshold_last_update", 2.0, "threshold_last_update must be"),
+        ("rng_state", {"bit_generator": "PCG64"}, "rng_state"),
+    ])
+    def test_wrong_type_named(self, tmp_path, key, value, want):
+        net, opt, rng = trained_state()
+        path = str(tmp_path / "w.ckpt")
+        save_checkpoint(path, net, opt, epoch=1, rng=rng, stats=STATS)
+        rewrite_manifest(path, lambda manifest: manifest.__setitem__(key, value))
+        with pytest.raises(ValueError, match=want):
+            load_checkpoint(path)
+
+    def test_manifest_length_out_of_range(self, tmp_path):
+        path = tmp_path / "n.ckpt"
+        path.write_bytes(MAGIC + b"-3\n{}")
+        with pytest.raises(ValueError, match="out of range"):
+            load_checkpoint(str(path))
+
+
+def _checkpoint_bytes():
+    net, opt, rng = trained_state()
+    state = GlobalThresholdState(threshold=0.25, last_update_epoch=2)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.ckpt")
+        save_checkpoint(path, net, opt, epoch=3, rng=rng, threshold_state=state,
+                        stats=STATS)
+        return open(path, "rb").read()
+
+
+FUZZ_CHECKPOINT = _checkpoint_bytes()
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8)
+    | st.floats(allow_nan=True, allow_infinity=True),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12)
+
+
+def _load_bytes(tmp_dir, data):
+    path = os.path.join(tmp_dir, "fuzzed.ckpt")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return load_checkpoint(path)
+
+
+class TestFuzz:
+    """Damaged checkpoint files leave load_checkpoint as a ValueError and
+    as no other exception."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_truncated_file_rejected(self, data):
+        cut = data.draw(st.integers(0, len(FUZZ_CHECKPOINT) - 1))
+        with tempfile.TemporaryDirectory() as tmp:
+            with pytest.raises(ValueError):
+                _load_bytes(tmp, FUZZ_CHECKPOINT[:cut])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), JSON_VALUES)
+    def test_replaced_manifest_value(self, data, value):
+        head, length, rest = FUZZ_CHECKPOINT.split(b"\n", 2)
+        manifest = json.loads(rest[:int(length)])
+        blob = rest[int(length):]
+        # Walk from a top-level key into nested containers, then replace.
+        parent, key = manifest, data.draw(st.sampled_from(sorted(manifest)))
+        while isinstance(parent[key], (list, dict)) and parent[key] \
+                and data.draw(st.booleans()):
+            parent = parent[key]
+            key = data.draw(st.sampled_from(
+                sorted(parent) if isinstance(parent, dict)
+                else range(len(parent))))
+        parent[key] = value
+        payload = json.dumps(manifest).encode()
+        fuzzed = head + b"\n" + f"{len(payload)}\n".encode() + payload + blob
+        with tempfile.TemporaryDirectory() as tmp:
+            try:
+                _load_bytes(tmp, fuzzed)
+            except ValueError:
+                pass

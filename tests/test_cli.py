@@ -172,6 +172,16 @@ class TestTrain:
         assert code == EXIT_USAGE
         assert "config differs" in capsys.readouterr().err
 
+    def test_resume_on_other_data_rejected(self, tmp_path, cfg_path, capsys):
+        code, out = run_train(tmp_path, cfg_path, extra=["--epochs", "1"])
+        assert code == EXIT_OK
+        code = main(["train", "--config", cfg_path, "--out", out,
+                     "--resume", os.path.join(out, "model.ckpt"),
+                     "--epochs", "1", "--train-count", "64",
+                     "--eval-count", "48"])
+        assert code == EXIT_USAGE
+        assert "statistics differ" in capsys.readouterr().err
+
     def test_binary_dataset_file(self, tmp_path, cfg_path, capsys):
         src = synth_dataset(seed=0, classes=2, count=64)
         bin_path = str(tmp_path / "batch.bin")
@@ -258,6 +268,23 @@ class TestEval:
         capsys.readouterr()
         assert main(["eval", "--checkpoint", ckpt, *DATA_ARGS]) == EXIT_USAGE
         assert "rng_state" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [
+        ("mean", {"a": 1}), ("blob_elements", None), ("params", 5),
+        ("mean", [float("nan")] * 3), ("std", [float("inf")] * 3),
+    ], ids=["mean_dict", "blob_elements_null", "params_int", "mean_nan",
+            "std_inf"])
+    def test_malformed_manifest_is_usage_error(self, tmp_path, cfg_path,
+                                               capsys, key, value):
+        _, out = run_train(tmp_path, cfg_path, extra=["--epochs", "1"])
+        ckpt = os.path.join(out, "model.ckpt")
+        rewrite_manifest(ckpt, lambda manifest: manifest.__setitem__(key,
+                                                                     value))
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", ckpt, *DATA_ARGS]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"manifest {key} must be" in err
+        assert "Traceback" not in err
 
     def test_batch_size_below_one_is_usage_error(self, tmp_path, cfg_path,
                                                  capsys):

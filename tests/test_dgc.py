@@ -537,6 +537,53 @@ class TestBackward:
         dgc_backward(fwd, layer, rng.normal(size=fwd.output.shape))
         assert calls == {"im2col": 1, "col2im": 1}
 
+    def test_sample_blocks_match_one_block(self, rng, monkeypatch):
+        """A batch of 7 split 3 + 3 + 1 gives the one-block forward bit for
+        bit and its gradients to 1e-12; without the input gradient no
+        block rebuilds its gated filters and col2im never runs."""
+        from dgconv import dgc
+        cfg = DgcLayerConfig(8, 8, 3, 1, 1, heads=4, squeeze=4, prune_rate=0.5)
+        layer = init_dgc_layer(cfg, rng)
+        x = rng.normal(size=(7, 8, 5, 5))
+        r = rng.normal(size=(7, 8, 5, 5))
+        per_sample = cfg.out_channels * cfg.in_channels * cfg.kernel_size ** 2
+
+        def run(elements, **kw):
+            monkeypatch.setattr(dgc, "GATED_BLOCK_ELEMENTS", elements)
+            fwd = dgc_forward(x, layer, GlobalGating(0.1), training=True)
+            return fwd, dgc_backward(fwd, layer, r, lasso_coeff=1e-3, **kw)
+
+        one_fwd, one = run(7 * per_sample)
+        assert [b.indices(7) for b in dgc._sample_blocks(7, per_sample)] == \
+            [(0, 7, 1)]
+        fwd, grads = run(3 * per_sample + per_sample // 2)
+        assert [b.indices(7) for b in dgc._sample_blocks(7, per_sample)] == \
+            [(0, 3, 1), (3, 6, 1), (6, 7, 1)]
+        npt.assert_array_equal(fwd.output, one_fwd.output)
+        pairs = [(grads.grad_input, one.grad_input)]
+        pairs += [(a, b) for name in ("grad_filters", "grad_w_squeeze",
+                                      "grad_b_squeeze", "grad_w_expand",
+                                      "grad_b_expand")
+                  for a, b in zip(getattr(grads, name), getattr(one, name))]
+        for a, b in pairs:
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+        calls = {"_gated_filters": 0, "col2im": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(dgc, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(dgc, name, counted)
+        fwd = dgc_forward(x, layer, GlobalGating(0.1), training=True)
+        assert calls == {"_gated_filters": 3, "col2im": 0}
+        skipped = dgc_backward(fwd, layer, r, input_grad=False)
+        assert skipped.grad_input is None
+        assert calls == {"_gated_filters": 3, "col2im": 0}
+        for a, b in zip(skipped.grad_filters, grads.grad_filters):
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+        dgc_backward(fwd, layer, r)
+        assert calls == {"_gated_filters": 6, "col2im": 1}
+
     def test_backward_requires_training_cache(self, rng):
         layer = small_layer(0)
         fwd = dgc_forward(rng.normal(size=(1, 4, 4, 4)), layer,

@@ -8,7 +8,7 @@ import pytest
 
 from dgconv.config import parse_config
 from dgconv.core import BatchNorm2d, ConvFilter, conv2d_forward, relu_forward
-from dgconv.data import synth_dataset
+from dgconv.data import DatasetSource, synth_dataset
 from dgconv.dgc import HeadwiseGating, channel_shuffle
 from dgconv.model import build_network
 from dgconv.train import (
@@ -254,6 +254,19 @@ class TestResume:
         fit(cfg, data, checkpoint_path=ck)
         with pytest.raises(ValueError, match="config"):
             fit(cfg_with(epochs=8), data, resume_from=ck)
+
+    def test_resume_with_other_statistics_rejected(self, tmp_path):
+        cfg = cfg_with(epochs=4)
+        data = synth_dataset(seed=14, classes=2, count=64)
+        ck = str(tmp_path / "run.ckpt")
+        fit(cfg, data, checkpoint_path=ck)
+        shifted = DatasetSource.from_arrays(0.5 * data.images + 0.4,
+                                            data.labels)
+        with pytest.raises(ValueError, match="statistics differ.*mean.*std"):
+            fit(cfg, shifted, resume_from=ck)
+        same = DatasetSource.from_arrays(0.5 * data.images + 0.4, data.labels,
+                                         data.stats)
+        assert len(fit(cfg, same, resume_from=ck).history) == 0
 
 
 class TestEvaluate:
