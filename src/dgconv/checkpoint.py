@@ -7,11 +7,13 @@ File layout:
     manifest: one JSON object (see below)
     blob: little-endian float64 values, tightly packed
 
-The manifest holds the serialized config, epoch counter, schedule and
-global-threshold state, the RNG state, the per-channel ``mean`` and
-``std`` that standardized the training images (evaluation standardizes
-its inputs with them), and a parameter table of
-``[name, shape, offset]`` rows whose offsets partition the blob exactly.
+The manifest holds the serialized config (which carries the epoch count
+and target prune rate), the epoch counter, the global-threshold state,
+the RNG state, the per-channel ``mean`` and ``std`` that standardized the
+training images (evaluation standardizes its inputs with them), and a
+parameter table of ``[name, shape, offset]`` rows whose offsets
+partition the blob exactly. Other keys, such as the ``schedule`` entry
+older files carry, are ignored.
 Model parameters, optimizer velocities (``opt.`` prefix), and batch-norm
 running statistics (``state.`` prefix) all live in the same blob.
 
@@ -54,10 +56,6 @@ class Checkpoint:
     rng_state: dict
     stats: tuple[np.ndarray, np.ndarray]    # training (mean, std) per channel
 
-    def model_arrays(self) -> dict[str, np.ndarray]:
-        return {k: v for k, v in self.arrays.items()
-                if not k.startswith(("opt.", "state."))}
-
 
 def save_checkpoint(path: str, net: DgcNetwork, optimizer: SGD, epoch: int,
                     rng: np.random.Generator,
@@ -76,11 +74,9 @@ def save_checkpoint(path: str, net: DgcNetwork, optimizer: SGD, epoch: int,
         chunks.append(np.ascontiguousarray(arr, dtype="<f8").ravel())
         offset += arr.size
 
-    cfg = net.config
     manifest = {
-        "config": serialize_config(cfg),
+        "config": serialize_config(net.config),
         "epoch": int(epoch),
-        "schedule": {"total_epochs": cfg.epochs, "target": cfg.prune_rate},
         "threshold": None if threshold_state is None else threshold_state.threshold,
         "threshold_last_update": None if threshold_state is None
         else threshold_state.last_update_epoch,

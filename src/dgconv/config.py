@@ -61,6 +61,13 @@ class LayerSpec:
                 raise ValueError(f"layer {name} must be positive")
         if self.stride < 1 or self.padding < 0:
             raise ValueError("layer stride must be >= 1 and padding >= 0")
+        if self.groups != 1 and self.kind != "sgc":
+            raise ValueError(f"a {self.kind} layer has groups 1, got "
+                             f"{self.groups}")
+        if self.in_channels % self.groups or self.out_channels % self.groups:
+            raise ValueError(f"layer channels ({self.in_channels} in, "
+                             f"{self.out_channels} out) not divisible by "
+                             f"{self.groups} groups")
 
     def token(self) -> str:
         base = (f"{self.kind}:{self.in_channels}:{self.out_channels}:"

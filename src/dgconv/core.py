@@ -5,8 +5,9 @@ channels, height, width). Backward passes are hand-written per layer;
 there is no autodiff graph. Convolution is cross-correlation (no kernel
 flip), the universal deep-learning convention.
 
-Every forward convolution (dense, grouped, and the gated layers'
-evaluation) goes through batched_conv. Stride 1 with at most
+conv2d_forward and conv2d_backward take groups; groups = 1 is the
+dense convolution. Every forward convolution (dense, grouped, and the
+gated layers' evaluation) goes through batched_conv. Stride 1 with at most
 SHIFTED_TAPS_MAX_CHANNELS output channels on a map of at least
 SHIFTED_TAPS_MIN_PIXELS output pixels runs as k^2 GEMMs on shifted
 slices of the padded, flattened input, with no patch matrix and the
@@ -163,18 +164,43 @@ def _col2im_index(c: int, hp: int, wp: int, k: int, stride: int) -> np.ndarray:
     return index
 
 
-def conv2d_forward(x: np.ndarray, filt: ConvFilter) -> np.ndarray:
-    """Cross-correlate x with the filter bank.
-
-    Output shape is (N, out_channels, H', W') with
-    H' = floor((H + 2*pad - k) / stride) + 1.
-    """
+def _conv_output_shape(x: np.ndarray, filt: ConvFilter,
+                       groups: int) -> tuple[int, int, int, int]:
+    """Validate x against a filter of the given groups and return the
+    output shape (N, out_channels, H', W')."""
     _check_4d(x, "conv input")
-    if x.shape[1] != filt.in_channels:
-        raise ValueError(
-            f"conv input has {x.shape[1]} channels but filter expects {filt.in_channels}")
-    return np.ascontiguousarray(
-        batched_conv(x, filt.weights, filt.stride, filt.padding))
+    n, c, h, w = x.shape
+    co, k = filt.out_channels, filt.kernel_size
+    if groups < 1 or c % groups or co % groups:
+        raise ValueError(f"channels ({c} in, {co} out) not divisible by "
+                         f"{groups} groups")
+    if c // groups != filt.in_channels:
+        raise ValueError(f"conv input has {c} channels but filter expects "
+                         f"{filt.in_channels} per group of {groups}")
+    return (n, co, conv_output_size(h, k, filt.stride, filt.padding),
+            conv_output_size(w, k, filt.stride, filt.padding))
+
+
+def conv2d_forward(x: np.ndarray, filt: ConvFilter,
+                   groups: int = 1) -> np.ndarray:
+    """Cross-correlate x with the filter bank in groups: group g convolves
+    its C/G input channels with its C'/G filter rows, so the bank is
+    (C', C/G, k, k). Output (N, C', H', W'), H' = floor((H + 2*pad - k) /
+    stride) + 1. Each group is one batched_conv call into its output
+    slice: one call on the (N*G, C/G, H, W) stack builds full-width
+    temporaries instead of L2-sized ones, 5.1 against 3.8 ms at 4 groups,
+    64 @ 56x56, batch 1, 1 BLAS thread (2-core Xeon).
+    """
+    shape = _conv_output_shape(x, filt, groups)
+    w, stride, pad = filt.weights, filt.stride, filt.padding
+    if groups == 1:
+        return np.ascontiguousarray(batched_conv(x, w, stride, pad))
+    ci, co = x.shape[1] // groups, shape[1] // groups
+    out = np.empty(shape)
+    for g in range(groups):
+        out[:, g * co:(g + 1) * co] = batched_conv(
+            x[:, g * ci:(g + 1) * ci], w[g * co:(g + 1) * co], stride, pad)
+    return out
 
 
 # Which stride-1 convolutions run as shifted taps (_shifted_taps) rather
@@ -281,24 +307,30 @@ def _shifted_taps(xp: np.ndarray, weights: np.ndarray, oh: int,
 
 
 def conv2d_backward(x: np.ndarray, filt: ConvFilter, grad_out: np.ndarray,
-                    input_grad: bool = True) -> tuple[np.ndarray | None, np.ndarray]:
+                    input_grad: bool = True,
+                    groups: int = 1) -> tuple[np.ndarray | None, np.ndarray]:
     """Exact gradients of conv2d_forward w.r.t. input and weights; the
-    input gradient is None when input_grad is false."""
-    _check_4d(x, "conv input")
+    input gradient is None when input_grad is false.
+
+    All groups go at once: one im2col of the (N*G, C/G, H, W) view of x,
+    one stacked GEMM pair over (N, G) and one col2im.
+    """
     _check_4d(grad_out, "conv grad_out")
-    k, stride, pad = filt.kernel_size, filt.stride, filt.padding
-    oh = conv_output_size(x.shape[2], k, stride, pad)
-    ow = conv_output_size(x.shape[3], k, stride, pad)
-    expect = (x.shape[0], filt.out_channels, oh, ow)
+    n, co, oh, ow = expect = _conv_output_shape(x, filt, groups)
     if grad_out.shape != expect:
         raise ValueError(f"grad_out shape {grad_out.shape} does not match forward "
                          f"output shape {expect}")
-    cols, _, _ = im2col(x, k, stride, pad)
-    gy = grad_out.reshape(x.shape[0], filt.out_channels, oh * ow)
-    w = filt.weights.reshape(filt.out_channels, -1)
-    grad_w = np.matmul(gy, cols.transpose(0, 2, 1)).sum(axis=0)
-    grad_x = (col2im(np.matmul(w.T, gy), x.shape, k, stride, pad)
-              if input_grad else None)
+    k, stride, pad = filt.kernel_size, filt.stride, filt.padding
+    xg_shape = (n * groups, x.shape[1] // groups) + x.shape[2:]
+    cols = im2col(x.reshape(xg_shape), k, stride, pad)[0]
+    cols = cols.reshape(n, groups, -1, oh * ow)
+    gy = grad_out.reshape(n, groups, co // groups, oh * ow)
+    w = filt.weights.reshape(groups, co // groups, -1)
+    grad_w = np.matmul(gy, cols.transpose(0, 1, 3, 2)).sum(axis=0)
+    grad_x = None
+    if input_grad:
+        gcols = np.matmul(w.transpose(0, 2, 1), gy)
+        grad_x = col2im(gcols, xg_shape, k, stride, pad).reshape(x.shape)
     return grad_x, grad_w.reshape(filt.weights.shape)
 
 

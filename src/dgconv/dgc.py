@@ -37,6 +37,9 @@ per-sample GEMMs keep the batch-1 shape, shifted taps or im2col by core's
 rule, the saliency scaling the slices as they are padded). The index
 plan calls gathered_conv on a stack of one, so plans reproduce evaluation
 bit for bit.
+
+The standard group convolution baseline, sgc_forward, is
+core.conv2d_forward with groups; its backward is core.conv2d_backward.
 """
 
 from __future__ import annotations
@@ -46,7 +49,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ConvFilter, batched_conv, col2im, conv_output_size, im2col
+from .core import (ConvFilter, batched_conv, col2im, conv2d_forward,
+                   conv_output_size, im2col)
 
 __all__ = [
     "DgcLayerConfig",
@@ -58,6 +62,7 @@ __all__ = [
     "init_dgc_layer",
     "gather_filters",
     "gathered_conv",
+    "shuffled_filters",
     "channel_shuffle",
     "dgc_forward",
     "dgc_backward",
@@ -65,7 +70,6 @@ __all__ = [
     "DgcGrads",
     "lasso_loss",
     "sgc_forward",
-    "sgc_backward",
 ]
 
 # Guards float representation error in expressions like (1 - 2/3) * 6 so the
@@ -144,10 +148,9 @@ class DgcLayer:
     heads: list[HeadParams]
 
 
-def init_dgc_layer(config: DgcLayerConfig, rng: np.random.Generator,
-                   saliency_bias: float = 0.1) -> DgcLayer:
-    """Fan-in-scaled normal init; saliency bias starts at a small positive
-    constant so initial saliencies are non-degenerate."""
+def init_dgc_layer(config: DgcLayerConfig, rng: np.random.Generator) -> DgcLayer:
+    """Fan-in-scaled normal init; the saliency bias starts at 0.1, so
+    initial saliencies are non-degenerate."""
     c, cd, k = config.in_channels, config.squeezed, config.kernel_size
     heads = []
     for _ in range(config.heads):
@@ -155,7 +158,7 @@ def init_dgc_layer(config: DgcLayerConfig, rng: np.random.Generator,
             w_squeeze=rng.normal(size=(cd, c)) * math.sqrt(2.0 / c),
             b_squeeze=np.zeros(cd),
             w_expand=rng.normal(size=(c, cd)) * math.sqrt(2.0 / cd),
-            b_expand=np.full(c, saliency_bias),
+            b_expand=np.full(c, 0.1),
             filters=rng.normal(size=(config.head_out_channels, c, k, k))
             * math.sqrt(2.0 / (c * k * k)),
         ))
@@ -235,6 +238,14 @@ def gathered_conv(x: np.ndarray, rows: np.ndarray | int,
     output does not depend on the rest of the stack; kc = 0 gives zeros."""
     xs = x[np.reshape(rows, (-1, 1)), indices]
     return batched_conv(xs, banks, stride, padding, scale=amplify)
+
+
+def shuffled_filters(layer: DgcLayer) -> np.ndarray:
+    """The heads' filter banks stacked in output-channel order,
+    (C', C, k, k): row o * heads + h is head h's filter o, the filter of
+    output channel o * heads + h after the channel shuffle."""
+    return np.stack([head.filters for head in layer.heads], axis=1).reshape(
+        layer.config.out_channels, *layer.heads[0].filters.shape[1:])
 
 
 def channel_shuffle(x: np.ndarray, heads: int) -> np.ndarray:
@@ -411,8 +422,7 @@ def dgc_forward(x: np.ndarray, layer: DgcLayer,
     ghat = np.where(np.stack(masks, axis=1), np.stack(saliencies, axis=1), 0.0)
     ghat_r = np.repeat(ghat, k * k, axis=2)
     # Row o * heads + h of w is head h's filter o: the output lands shuffled.
-    w = np.stack([head.filters for head in layer.heads], axis=1).reshape(
-        co, cfg.heads, -1)
+    w = shuffled_filters(layer).reshape(co, cfg.heads, -1)
     # cols[n] is (C*k*k, H'*W'), so wn[n] @ cols[n] writes NCHW directly.
     cols = im2col(x, k, stride, pad)[0]
     out3 = out.reshape(n, cfg.out_channels, -1)
@@ -531,45 +541,6 @@ def lasso_loss(saliencies: list[np.ndarray], coeff: float) -> float:
 
 def sgc_forward(x: np.ndarray, weights: np.ndarray, groups: int,
                 stride: int = 1, padding: int = 0) -> np.ndarray:
-    """Standard group convolution: contiguous equal channel partitions.
-
-    weights has shape (C_out, C_in // groups, k, k); each group's
-    batched_conv is written straight into its slice of the output.
-    """
-    filt = ConvFilter(weights, stride, padding)
-    n, c, h, w = x.shape
-    co, k = filt.out_channels, filt.kernel_size
-    if c % groups != 0 or co % groups != 0:
-        raise ValueError(f"channels ({c} in, {co} out) not divisible by "
-                         f"{groups} groups")
-    if filt.in_channels != c // groups:
-        raise ValueError(f"group filter expects {filt.in_channels} in-channels per "
-                         f"group, input provides {c // groups}")
-    ci_g, co_g = c // groups, co // groups
-    out = np.empty((n, co, conv_output_size(h, k, stride, padding),
-                    conv_output_size(w, k, stride, padding)))
-    for g in range(groups):
-        out[:, g * co_g:(g + 1) * co_g] = batched_conv(
-            x[:, g * ci_g:(g + 1) * ci_g], weights[g * co_g:(g + 1) * co_g],
-            stride, padding)
-    return out
-
-
-def sgc_backward(x: np.ndarray, weights: np.ndarray, groups: int,
-                 grad_out: np.ndarray, stride: int = 1, padding: int = 0,
-                 input_grad: bool = True) -> tuple[np.ndarray | None, np.ndarray]:
-    from .core import conv2d_backward
-
-    c, co = x.shape[1], weights.shape[0]
-    ci_g, co_g = c // groups, co // groups
-    grad_x = np.zeros_like(x) if input_grad else None
-    grad_w = np.zeros_like(weights)
-    for g in range(groups):
-        gx, gw = conv2d_backward(
-            x[:, g * ci_g:(g + 1) * ci_g],
-            ConvFilter(weights[g * co_g:(g + 1) * co_g], stride, padding),
-            grad_out[:, g * co_g:(g + 1) * co_g], input_grad)
-        if input_grad:
-            grad_x[:, g * ci_g:(g + 1) * ci_g] = gx
-        grad_w[g * co_g:(g + 1) * co_g] = gw
-    return grad_x, grad_w
+    """Standard group convolution of weights (C_out, C_in // groups, k, k):
+    core.conv2d_forward with groups."""
+    return conv2d_forward(x, ConvFilter(weights, stride, padding), groups)

@@ -1,6 +1,10 @@
 """Network assembly: conv/SGC/DGC blocks with batch norm and relu, ending
 in global average pooling and a linear classifier.
 
+A conv block and an SGC block are one kind of block: core.conv2d_forward
+and conv2d_backward with the spec's groups (1 for conv). A DGC block runs
+dgc_forward and dgc_backward.
+
 The topology comes from TrainConfig.model; nothing here is hard-coded to a
 particular depth. Parameters live in numpy arrays shared by reference with
 the optimizer's parameter dict, so in-place SGD updates are visible to the
@@ -36,8 +40,6 @@ from .dgc import (
     dgc_backward,
     dgc_forward,
     init_dgc_layer,
-    sgc_backward,
-    sgc_forward,
 )
 
 __all__ = ["Block", "DgcNetwork", "NetForward", "build_network"]
@@ -49,7 +51,7 @@ SALIENCY_FIELDS = ("w_squeeze", "b_squeeze", "w_expand", "b_expand")
 class Block:
     spec: LayerSpec
     bn: BatchNorm2d
-    weights: np.ndarray | None = None      # conv / sgc filter bank
+    weights: np.ndarray | None = None      # conv / sgc, (C', C/groups, k, k)
     dgc: DgcLayer | None = None            # dgc only
 
 
@@ -85,9 +87,8 @@ class DgcNetwork:
                                          dgc=init_dgc_layer(layer_cfg, rng)))
             else:
                 fan_in = spec.in_channels * spec.kernel_size ** 2
-                cin = spec.in_channels // spec.groups if spec.kind == "sgc" \
-                    else spec.in_channels
-                w = rng.normal(size=(spec.out_channels, cin,
+                w = rng.normal(size=(spec.out_channels,
+                                     spec.in_channels // spec.groups,
                                      spec.kernel_size, spec.kernel_size))
                 self.blocks.append(Block(spec, bn,
                                          weights=w * math.sqrt(2.0 / fan_in)))
@@ -152,12 +153,9 @@ class DgcNetwork:
                 fwd = dgc_forward(x, blk.dgc, gating, training=training)
                 dgc_fwds[i] = fwd
                 y = fwd.output
-            elif blk.spec.kind == "sgc":
-                y = sgc_forward(x, blk.weights, blk.spec.groups,
-                                blk.spec.stride, blk.spec.padding)
             else:
-                y = conv2d_forward(x, ConvFilter(blk.weights, blk.spec.stride,
-                                                 blk.spec.padding))
+                filt = ConvFilter(blk.weights, blk.spec.stride, blk.spec.padding)
+                y = conv2d_forward(x, filt, blk.spec.groups)
             y = blk.bn.forward(y, training)
             pre_relu.append(y)
             x = relu_forward(y)
@@ -202,15 +200,10 @@ class DgcNetwork:
                     grads[f"b{i}.h{j}.w_expand"] = dgrads.grad_w_expand[j]
                     grads[f"b{i}.h{j}.b_expand"] = dgrads.grad_b_expand[j]
                 gx = dgrads.grad_input
-            elif blk.spec.kind == "sgc":
-                gx, gw = sgc_backward(x_in, blk.weights, blk.spec.groups, gx,
-                                      blk.spec.stride, blk.spec.padding,
-                                      input_grad)
-                grads[f"b{i}.weights"] = gw
             else:
-                gx, gw = conv2d_backward(
-                    x_in, ConvFilter(blk.weights, blk.spec.stride,
-                                     blk.spec.padding), gx, input_grad)
+                filt = ConvFilter(blk.weights, blk.spec.stride, blk.spec.padding)
+                gx, gw = conv2d_backward(x_in, filt, gx, input_grad,
+                                         blk.spec.groups)
                 grads[f"b{i}.weights"] = gw
         return grads
 

@@ -324,17 +324,16 @@ _VARIANTS = ("dense", "sgc", "dgc")
 def run_benchmark(shapes: list[tuple[int, int, int, int]],
                   variants: list[str] | None = None,
                   threads: int | None = 1, repeats: int = 30,
-                  warmup: int = 5, groups: int = 4, heads: int = 4,
-                  prune_rate: float = 0.75,
-                  seed: int = 0) -> list[BenchResult]:
+                  warmup: int = 5, seed: int = 0) -> list[BenchResult]:
     """Time dense, SGC, and DGC batch-1 forwards on (C, C', H, k) shapes.
 
-    All variants of a shape see the same input tensor, and their
-    repetitions are interleaved.  The DGC variant runs the evaluation
-    forward's own saliency, index and conv phases (dgc_forward with
-    training=False) and times each, so the reported components partition
-    the measured call.  Rows record the BLAS thread count that actually
-    ran (0: unpinned).
+    SGC runs 4 groups; DGC runs DgcLayerConfig's defaults, 4 heads at
+    prune rate 0.75, under head-wise gating.  All variants of a shape see
+    the same input tensor, and their repetitions are interleaved.  The
+    DGC variant runs the evaluation forward's own saliency, index and
+    conv phases (dgc_forward with training=False) and times each, so the
+    reported components partition the measured call.  Rows record the
+    BLAS thread count that actually ran (0: unpinned).
     """
     from .dgc import DgcLayerConfig, init_dgc_layer
 
@@ -345,8 +344,8 @@ def run_benchmark(shapes: list[tuple[int, int, int, int]],
             raise ValueError(f"unknown benchmark variant {variant!r}")
     if repeats < 1:
         raise ValueError("repeats must be positive")
+    groups = 4
     rng = np.random.default_rng(seed)
-    gating = HeadwiseGating(prune_rate)
     results = []
     with _limit_threads(threads) as pinned:
         for c, cp, hw, k in shapes:
@@ -357,9 +356,8 @@ def run_benchmark(shapes: list[tuple[int, int, int, int]],
             layer = None
             if "dgc" in variants:
                 layer = init_dgc_layer(
-                    DgcLayerConfig(c, cp, k, 1, pad, heads=heads,
-                                   squeeze=squeeze, prune_rate=prune_rate),
-                    rng)
+                    DgcLayerConfig(c, cp, k, 1, pad, squeeze=squeeze), rng)
+                gating = HeadwiseGating(layer.config.prune_rate)
             dense_filt = ConvFilter(rng.normal(size=(cp, c, k, k)), 1, pad)
             group_w = rng.normal(size=(cp, c // groups, k, k))
 

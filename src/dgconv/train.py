@@ -42,7 +42,7 @@ from .global_threshold import (
     maybe_update_threshold,
 )
 from .model import DgcNetwork, build_network
-from .runtime import LayerShape, mac_dense, mac_dgc, mac_sgc
+from .runtime import LayerShape, mac_dgc, mac_sgc
 
 __all__ = ["PruneSchedule", "prune_rate_at", "EpochMetrics", "METRICS_HEADER",
            "train_epoch", "fit", "FitResult", "EvalMetrics", "evaluate",
@@ -387,10 +387,8 @@ def evaluate(net: DgcNetwork, data: DatasetSource,
                 if config.gating == "global" else None
             macs += mac_dgc(shape, config.prune_rate, config.heads,
                             config.squeeze, measured).total_macs
-        elif spec.kind == "sgc":
-            macs += mac_sgc(shape, spec.groups)
         else:
-            macs += mac_dense(shape)
+            macs += mac_sgc(shape, spec.groups)
         h, w = shape.out_h, shape.out_w
 
     thr = threshold_state.threshold if (threshold_state is not None

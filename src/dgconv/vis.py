@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import im2col
-from .dgc import GlobalGating, HeadwiseGating
+from .dgc import GlobalGating, HeadwiseGating, shuffled_filters
 from .model import DgcNetwork
 
 __all__ = [
@@ -154,11 +154,8 @@ class VisualizationBundle:
 
 
 def _contribution_bank(net: DgcNetwork, block: int) -> np.ndarray:
-    """Full (C', C, k, k) filter bank for a conv or dgc block.
-
-    DGC head banks are stacked and reordered so row o is the filter
-    that produces output channel o after the channel shuffle.
-    """
+    """Full (C', C, k, k) filter bank for a conv or dgc block; row o of
+    a dgc block's bank produces output channel o after the shuffle."""
     valid = [i for i, blk in enumerate(net.blocks)
              if blk.spec.kind in ("conv", "dgc")]
     if block not in valid:
@@ -167,10 +164,7 @@ def _contribution_bank(net: DgcNetwork, block: int) -> np.ndarray:
     blk = net.blocks[block]
     if blk.spec.kind == "conv":
         return blk.weights
-    bank = np.concatenate([h.filters for h in blk.dgc.heads], axis=0)
-    heads = blk.dgc.config.heads
-    order = np.arange(bank.shape[0]).reshape(heads, -1).T.ravel()
-    return bank[order]
+    return shuffled_filters(blk.dgc)
 
 
 def contribution_matrix(net: DgcNetwork, block: int,

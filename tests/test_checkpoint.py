@@ -65,6 +65,22 @@ class TestRoundTrip:
                         stats=ckpt.stats)
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
+    def test_older_schedule_entry_is_ignored(self, tmp_path):
+        net, opt, rng = trained_state()
+        path = str(tmp_path / "old.ckpt")
+        save_checkpoint(path, net, opt, epoch=1, rng=rng, stats=STATS)
+        new = load_checkpoint(path)
+
+        def add_schedule(manifest):
+            assert "schedule" not in manifest
+            manifest["schedule"] = {"total_epochs": 60, "target": 0.5}
+
+        rewrite_manifest(path, add_schedule)
+        old = load_checkpoint(path)
+        assert old.arrays.keys() == new.arrays.keys()
+        for name, arr in new.arrays.items():
+            npt.assert_array_equal(old.arrays[name], arr)
+
     def test_values_restored_exactly(self, tmp_path):
         net, opt, rng = trained_state()
         path = str(tmp_path / "c.ckpt")

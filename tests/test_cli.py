@@ -75,6 +75,19 @@ class TestExitCodes:
         assert main(["train", "--config", missing]) == EXIT_USAGE
         assert missing in capsys.readouterr().err
 
+    def test_config_directory_is_usage_error(self, tmp_path, capsys):
+        assert main(["train", "--config", str(tmp_path)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_out_naming_a_file_is_usage_error(self, tmp_path, cfg_path,
+                                              capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code = main(["train", "--config", cfg_path, "--out", str(taken),
+                     *DATA_ARGS])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_invalid_config_key_named(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text(CFG + "lrate = 0.1\n")
@@ -336,6 +349,10 @@ class TestEval:
         code = main(["eval", "--checkpoint", str(tmp_path / "no.ckpt")])
         assert code == EXIT_USAGE
         assert "no.ckpt" in capsys.readouterr().err
+
+    def test_checkpoint_directory_is_usage_error(self, tmp_path, capsys):
+        assert main(["eval", "--checkpoint", str(tmp_path)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def fake_results(sgc=1.0, dgc=2.0, dense=3.0):

@@ -211,6 +211,14 @@ class TestConfig:
         assert cfg.model[0].groups == 4
         with pytest.raises(ValueError):
             parse_config("model = sgc:8:16:3:1:1\nclasses = 2")
+        with pytest.raises(ValueError, match="not divisible by 3 groups"):
+            parse_config("model = sgc:8:16:3:1:1:3\nclasses = 2")
+
+    @pytest.mark.parametrize("kind", ["conv", "dgc"])
+    def test_groups_only_on_sgc(self, kind):
+        with pytest.raises(ValueError, match="groups"):
+            LayerSpec(kind, 8, 16, 3, 1, 1, groups=2)
+        assert LayerSpec(kind, 8, 16, 3, 1, 1, groups=1).groups == 1
 
     def test_gating_mode_validated(self):
         with pytest.raises(ValueError, match="gating"):

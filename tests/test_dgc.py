@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dgconv.core import ConvFilter, conv2d_forward, im2col
+from dgconv.core import ConvFilter, conv2d_backward, conv2d_forward, im2col
 from dgconv.dgc import (
     DgcForward,
     DgcLayerConfig,
@@ -28,8 +28,8 @@ from dgconv.dgc import (
     init_dgc_layer,
     kept_channels,
     lasso_loss,
-    sgc_backward,
     sgc_forward,
+    shuffled_filters,
 )
 from dgconv.runtime import build_index_plan
 from conftest import naive_conv2d, numerical_grad, rel_error, tap_loop_col2im
@@ -201,6 +201,24 @@ class TestShuffle:
     def test_rejects_non_divisible(self):
         with pytest.raises(ValueError):
             channel_shuffle(np.ones((1, 6, 2, 2)), 4)
+
+    def test_shuffled_filters_follow_output_channels(self):
+        layer = small_layer(5, DgcLayerConfig(4, 12, 3, 1, 1, heads=3,
+                                              squeeze=2))
+        bank = shuffled_filters(layer)
+        assert bank.shape == (12, 4, 3, 3)
+        for h, head in enumerate(layer.heads):
+            for o in range(4):
+                npt.assert_array_equal(bank[o * 3 + h], head.filters[o])
+        # At prune rate 0 with unit saliencies the gated layer is the dense
+        # convolution with this bank.
+        for head in layer.heads:
+            head.w_expand[:] = 0.0
+            head.b_expand[:] = 1.0
+        x = np.random.default_rng(6).normal(size=(2, 4, 5, 5))
+        y = dgc_forward(x, layer, HeadwiseGating(0.0), training=False).output
+        npt.assert_allclose(y, conv2d_forward(x, ConvFilter(bank, 1, 1)),
+                            rtol=1e-12, atol=1e-12)
 
     @given(st.integers(1, 4), st.integers(1, 6), st.integers(0, 2**31 - 1))
     @settings(max_examples=40, deadline=None)
@@ -618,12 +636,21 @@ class TestLasso:
         assert lasso_loss(fwd.saliencies, 1e-5) == pytest.approx(1e-5 * manual)
 
 
+def block_diagonal(w, groups):
+    """The dense bank (C', C, k, k) equal to the grouped bank w
+    (C', C/groups, k, k): group g's rows see only its channels."""
+    co, ci, k, _ = w.shape
+    dense = np.zeros((co, ci * groups, k, k))
+    cg = co // groups
+    for g in range(groups):
+        dense[g * cg:(g + 1) * cg, g * ci:(g + 1) * ci] = w[g * cg:(g + 1) * cg]
+    return dense
+
+
 class TestStandardGroupConv:
     def test_matches_block_diagonal_dense(self, rng):
         w = rng.normal(size=(9, 2, 3, 3))
-        dense = np.zeros((9, 6, 3, 3))
-        for g in range(3):
-            dense[g * 3:(g + 1) * 3, g * 2:(g + 1) * 2] = w[g * 3:(g + 1) * 3]
+        dense = block_diagonal(w, 3)
         # (batch, map, stride): im2col, shifted taps (9x9 output), stride 2
         for n, hw, stride in ((2, 5, 1), (2, 9, 1), (3, 9, 2)):
             x = rng.normal(size=(n, 6, hw, hw))
@@ -640,13 +667,32 @@ class TestStandardGroupConv:
         x = rng.normal(size=(2, 4, 4, 4))
         w = rng.normal(size=(4, 2, 3, 3))
         r = rng.normal(size=(2, 4, 4, 4))
-        gx, gw = sgc_backward(x, w, 2, r, stride=1, padding=1)
+        gx, gw = conv2d_backward(x, ConvFilter(w, 1, 1), r, groups=2)
 
         def f():
             return float((sgc_forward(x, w, 2, 1, 1) * r).sum())
 
         assert rel_error(gx, numerical_grad(f, x)) < 1e-6
         assert rel_error(gw, numerical_grad(f, w)) < 1e-6
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("input_grad", [True, False])
+    def test_backward_matches_block_diagonal_dense(self, rng, stride,
+                                                   input_grad):
+        x = rng.normal(size=(3, 6, 7, 7))
+        w = rng.normal(size=(9, 2, 3, 3))
+        f = ConvFilter(w, stride, 1)
+        gy = rng.normal(size=conv2d_forward(x, f, 3).shape)
+        gx, gw = conv2d_backward(x, f, gy, input_grad, groups=3)
+        dgx, dgw = conv2d_backward(x, ConvFilter(block_diagonal(w, 3), stride, 1),
+                                   gy, input_grad)
+        diagonal = np.concatenate([dgw[g * 3:(g + 1) * 3, g * 2:(g + 1) * 2]
+                                   for g in range(3)])
+        npt.assert_allclose(gw, diagonal, rtol=1e-12, atol=1e-12)
+        if input_grad:
+            npt.assert_allclose(gx, dgx, rtol=1e-12, atol=1e-12)
+        else:
+            assert gx is None and dgx is None
 
     def test_rejects_non_divisible(self, rng):
         with pytest.raises(ValueError):
