@@ -14,7 +14,6 @@ from .data import DatasetSource, load_cifar10, synth_dataset, write_cifar10
 from .dgc import (
     DgcLayer,
     DgcLayerConfig,
-    GateDecision,
     GlobalGating,
     HeadwiseGating,
     dgc_backward,
@@ -33,7 +32,6 @@ from .checkpoint import load_checkpoint, restore_network, save_checkpoint
 from .runtime import (
     IndexPlan,
     MacReport,
-    build_index_plan,
     execute_plan,
     mac_dense,
     mac_dgc,
@@ -55,14 +53,13 @@ __version__ = "0.1.0"
 __all__ = [
     "LayerSpec", "TrainConfig", "parse_config", "parse_config_file",
     "DatasetSource", "load_cifar10", "synth_dataset", "write_cifar10",
-    "DgcLayer", "DgcLayerConfig", "GateDecision", "GlobalGating",
-    "HeadwiseGating", "dgc_backward", "dgc_forward", "init_dgc_layer",
-    "kept_channels",
+    "DgcLayer", "DgcLayerConfig", "GlobalGating", "HeadwiseGating",
+    "dgc_backward", "dgc_forward", "init_dgc_layer", "kept_channels",
     "GlobalThresholdState", "SaliencyLibrary", "angle_loss",
     "compute_global_threshold",
     "DgcNetwork", "build_network",
     "load_checkpoint", "restore_network", "save_checkpoint",
-    "IndexPlan", "MacReport", "build_index_plan", "execute_plan",
+    "IndexPlan", "MacReport", "execute_plan",
     "mac_dense", "mac_dgc", "plan_from_forward", "run_benchmark",
     "EpochMetrics", "EvalMetrics", "PruneSchedule", "evaluate", "fit",
     "prune_rate_at",

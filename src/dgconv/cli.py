@@ -26,14 +26,13 @@ import numpy as np
 from .checkpoint import load_checkpoint, restore_network, restore_threshold
 from .config import TrainConfig, parse_config_file
 from .data import DatasetSource, load_cifar10, synth_dataset
-from .dgc import GlobalGating, HeadwiseGating
 from .runtime import (
     BENCH_CSV_HEADER,
     bench_csv_rows,
     run_benchmark,
 )
 from .runtime import _limit_threads as limit_threads
-from .train import METRICS_HEADER, evaluate, fit
+from .train import METRICS_HEADER, evaluate, fit, inference_gating
 from .vis import collect_bundle, export_bundle
 
 __all__ = ["main", "build_parser",
@@ -86,9 +85,9 @@ def build_parser() -> _Parser:
     p.add_argument("--resume", help="checkpoint to continue from")
     p.add_argument("--dataset", help="binary batch file or directory")
     p.add_argument("--epochs", type=int, help="override config epochs")
-    p.add_argument("--train-count", type=int, default=2000,
+    p.add_argument("--train-count", type=positive_int, default=2000,
                    help="synthetic training images (default 2000)")
-    p.add_argument("--eval-count", type=int, default=400,
+    p.add_argument("--eval-count", type=positive_int, default=400,
                    help="synthetic held-out images (default 400)")
     common(p)
     p.set_defaults(func=cmd_train)
@@ -98,8 +97,8 @@ def build_parser() -> _Parser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--dataset", help="binary batch file or directory")
     p.add_argument("--out", help="also write the table to this CSV file")
-    p.add_argument("--train-count", type=int, default=2000)
-    p.add_argument("--eval-count", type=int, default=400)
+    p.add_argument("--train-count", type=positive_int, default=2000)
+    p.add_argument("--eval-count", type=positive_int, default=400)
     p.add_argument("--batch-size", type=positive_int, default=256)
     common(p)
     p.set_defaults(func=cmd_eval)
@@ -109,7 +108,7 @@ def build_parser() -> _Parser:
     p.add_argument("--shapes", nargs="+", default=["16x32x16k3", "32x32x8k3"],
                    help="shape tokens CxC'xSkK, e.g. 64x64x32k3")
     p.add_argument("--variants", nargs="+", default=["dense", "sgc", "dgc"])
-    p.add_argument("--repeats", type=int, default=30)
+    p.add_argument("--repeats", type=positive_int, default=30)
     p.add_argument("--warmup", type=int, default=5)
     p.add_argument("--out", help="also write the table to this CSV file")
     p.add_argument("--assert-ordering", action="store_true",
@@ -122,12 +121,12 @@ def build_parser() -> _Parser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--dataset", help="binary batch file or directory")
-    p.add_argument("--count", type=int, default=8,
+    p.add_argument("--count", type=positive_int, default=8,
                    help="number of images to trace (default 8)")
     p.add_argument("--contributions", nargs="*", type=int, default=[],
                    help="block indices to export contribution matrices for")
-    p.add_argument("--train-count", type=int, default=2000)
-    p.add_argument("--eval-count", type=int, default=400)
+    p.add_argument("--train-count", type=positive_int, default=2000)
+    p.add_argument("--eval-count", type=positive_int, default=400)
     common(p)
     p.set_defaults(func=cmd_visualize)
     return parser
@@ -215,9 +214,8 @@ def cmd_eval(args) -> int:
     net = restore_network(ckpt)
     cfg = ckpt.config
     seed = args.seed if args.seed is not None else cfg.seed
-    threshold_state = None
-    if cfg.gating == "global":
-        threshold_state = restore_threshold(ckpt)
+    threshold_state = restore_threshold(ckpt) \
+        if cfg.gating == "global" else None
     data = _eval_data(args, cfg, seed, ckpt.stats)
     with limit_threads(args.threads):
         metrics = evaluate(net, data, threshold_state,
@@ -255,8 +253,6 @@ def cmd_bench(args) -> int:
         if not m:
             raise CliError(f"bad shape token {token!r}, expected CxC'xSkK")
         shapes.append(tuple(int(g) for g in m.groups()))
-    if args.repeats < 1:
-        raise CliError("--repeats must be positive")
     if args.repeats == 1:
         print("warning: --repeats 1 gives no dispersion estimate",
               file=sys.stderr)
@@ -281,16 +277,9 @@ def cmd_visualize(args) -> int:
     net = restore_network(ckpt)
     cfg = ckpt.config
     seed = args.seed if args.seed is not None else cfg.seed
-    if cfg.gating == "global":
-        state = restore_threshold(ckpt)
-        if not state.initialized:
-            raise CliError("checkpoint has no calibrated global threshold")
-        gating = GlobalGating(state.threshold)
-    else:
-        gating = HeadwiseGating(cfg.prune_rate)
+    gating = inference_gating(
+        cfg, restore_threshold(ckpt) if cfg.gating == "global" else None)
     data = _eval_data(args, cfg, seed, ckpt.stats)
-    if args.count < 1:
-        raise CliError("--count must be positive")
     count = min(args.count, data.images.shape[0])
     images = data.standardized(data.images[:count])
     with limit_threads(args.threads):

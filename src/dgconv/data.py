@@ -103,22 +103,17 @@ class DatasetSource:
             yield x, self.labels[idx]
 
 
-def augment_batch(x: np.ndarray, rng: np.random.Generator,
-                  pad_crop: bool = True, hflip: bool = True) -> np.ndarray:
+def augment_batch(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Zero-pad-4 random crop and random horizontal flip, per sample."""
     n, _, h, w = x.shape
-    out = x
-    if pad_crop:
-        p = CROP_PAD
-        padded = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-        tops = rng.integers(0, 2 * p + 1, size=n)
-        lefts = rng.integers(0, 2 * p + 1, size=n)
-        out = np.stack([padded[i, :, t:t + h, l:l + w]
-                        for i, (t, l) in enumerate(zip(tops, lefts))])
-    if hflip:
-        flip = rng.random(n) < 0.5
-        out = out.copy()
-        out[flip] = out[flip, :, :, ::-1]
+    p = CROP_PAD
+    padded = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    tops = rng.integers(0, 2 * p + 1, size=n)
+    lefts = rng.integers(0, 2 * p + 1, size=n)
+    out = np.stack([padded[i, :, t:t + h, l:l + w]
+                    for i, (t, l) in enumerate(zip(tops, lefts))])
+    flip = rng.random(n) < 0.5
+    out[flip] = out[flip, :, :, ::-1]
     return out
 
 

@@ -34,9 +34,12 @@ index (gate; per head and kept count the sample rows, channel indices
 and amplifications) and conv (per group the gathered banks and one
 gathered_conv: a core.batched_conv with one bank per sample whose
 per-sample GEMMs keep the batch-1 shape, shifted taps or im2col by core's
-rule, the saliency scaling the slices as they are padded). The index
-plan calls gathered_conv on a stack of one, so plans reproduce evaluation
-bit for bit.
+rule, the saliency scaling the slices as they are padded).
+
+A forward's per-head saliencies and masks are the one record of its gate
+decisions: dgc_backward reads the masks, and runtime.plan_from_forward
+builds an index plan from one sample's rows and calls gathered_conv on
+a stack of one, so plans reproduce evaluation bit for bit.
 
 The standard group convolution baseline, sgc_forward, is
 core.conv2d_forward with groups; its backward is core.conv2d_backward.
@@ -56,7 +59,6 @@ __all__ = [
     "DgcLayerConfig",
     "HeadParams",
     "DgcLayer",
-    "GateDecision",
     "HeadwiseGating",
     "GlobalGating",
     "init_dgc_layer",
@@ -92,9 +94,15 @@ class DgcLayerConfig:
     heads: int = 4
     squeeze: int = 16
     prune_rate: float = 0.75
-    lasso_coeff: float = 1e-5
 
     def __post_init__(self) -> None:
+        for name in ("in_channels", "out_channels", "kernel_size", "stride",
+                     "heads", "squeeze"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+        if self.padding < 0:
+            raise ValueError(f"padding must be >= 0, got {self.padding}")
         if self.out_channels % self.heads != 0:
             raise ValueError(f"out_channels {self.out_channels} not divisible by "
                              f"heads {self.heads}")
@@ -125,22 +133,6 @@ class HeadParams:
     b_expand: np.ndarray    # (C,), the saliency bias
     filters: np.ndarray     # (C'/heads, C, k, k)
 
-    def validate(self, config: DgcLayerConfig) -> None:
-        c, cd = config.in_channels, config.squeezed
-        k = config.kernel_size
-        expect = {
-            "w_squeeze": (cd, c), "b_squeeze": (cd,),
-            "w_expand": (c, cd), "b_expand": (c,),
-            "filters": (config.head_out_channels, c, k, k),
-        }
-        for name, shape in expect.items():
-            arr = getattr(self, name)
-            if arr.shape != shape:
-                raise ValueError(f"head parameter {name} has shape {arr.shape}, "
-                                 f"expected {shape}")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"head parameter {name} contains non-finite values")
-
 
 @dataclass
 class DgcLayer:
@@ -162,10 +154,7 @@ def init_dgc_layer(config: DgcLayerConfig, rng: np.random.Generator) -> DgcLayer
             filters=rng.normal(size=(config.head_out_channels, c, k, k))
             * math.sqrt(2.0 / (c * k * k)),
         ))
-    layer = DgcLayer(config, heads)
-    for h in heads:
-        h.validate(config)
-    return layer
+    return DgcLayer(config, heads)
 
 
 # ---------------------------------------------------------------------------
@@ -184,22 +173,6 @@ def _saliency(p: np.ndarray, head: HeadParams, keep_sign: bool):
 # ---------------------------------------------------------------------------
 # Gating
 # ---------------------------------------------------------------------------
-
-@dataclass
-class GateDecision:
-    """Selected channels (strictly increasing) and their amplifications."""
-
-    indices: np.ndarray
-    amplify: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.indices = np.asarray(self.indices, dtype=np.int64)
-        self.amplify = np.asarray(self.amplify, dtype=np.float64)
-        if self.indices.size and np.any(np.diff(self.indices) <= 0):
-            raise ValueError("decision indices must be strictly increasing")
-        if self.indices.shape != self.amplify.shape:
-            raise ValueError("indices and amplifications must align")
-
 
 @dataclass(frozen=True)
 class HeadwiseGating:
@@ -263,19 +236,15 @@ def channel_shuffle(x: np.ndarray, heads: int) -> np.ndarray:
 
 @dataclass
 class DgcForward:
-    """Output of one DGC layer pass plus everything the backward pass and
-    the logging/runtime side need to replay the gating."""
+    """Output of one DGC layer pass. saliencies and masks are the only
+    record of the gate decisions: the backward pass, index plans and
+    logging all read them."""
 
     output: np.ndarray
     saliencies: list[np.ndarray]        # per head, (N, C)
     masks: list[np.ndarray]             # per head, (N, C) bool
     keep_sign: bool
     _cache: dict | None = field(default=None, repr=False)
-
-    def decision(self, head: int, sample: int) -> GateDecision:
-        """The gate decision of one sample in one head."""
-        g, idx = self.saliencies[head][sample], np.flatnonzero(self.masks[head][sample])
-        return GateDecision(idx, g[idx])
 
     @property
     def realized_prune_rate(self) -> float:
@@ -413,8 +382,6 @@ def dgc_forward(x: np.ndarray, layer: DgcLayer,
     # forward at batch 256 from 9.5 to 11.4 ms.
     out = _empty_output(x, cfg)
     masks = [_gate_masks(g, gating) for g in saliencies]
-    head_caches = [{"p": p, "z1": z1, "a1": a1, "z2": z2, "g": g, "mask": mask}
-                   for (z1, a1, z2, g), mask in zip(mlps, masks)]
     n, co = x.shape[0], cfg.head_out_channels
     k, stride, pad = cfg.kernel_size, cfg.stride, cfg.padding
     # ghat (N, heads, C): the saliency on kept channels, exactly 0 elsewhere;
@@ -430,7 +397,7 @@ def dgc_forward(x: np.ndarray, layer: DgcLayer,
         np.matmul(_gated_filters(w, ghat_r[b]), cols[b], out=out3[b])
     return DgcForward(out, saliencies, masks, keep_sign,
                       {"x": x, "cols": cols, "ghat_r": ghat_r, "w": w,
-                       "heads": head_caches})
+                       "p": p, "mlps": mlps})
 
 
 @dataclass
@@ -497,21 +464,22 @@ def dgc_backward(fwd: DgcForward, layer: DgcLayer, grad_out: np.ndarray,
                       out=gcols[b])
     grads = DgcGrads(None, [], [], [], [], [])
     gp = np.zeros((n, cfg.in_channels))     # gradient w.r.t. the pooled means
-    for i, (head, hc) in enumerate(zip(layer.heads, cache["heads"])):
-        gg = gg_heads[:, i] * hc["mask"]
+    for i, (head, (z1, a1, z2, g)) in enumerate(zip(layer.heads,
+                                                    cache["mlps"])):
+        gg = gg_heads[:, i] * fwd.masks[i]
         if lasso_coeff:
-            gg = gg + lasso_coeff * np.sign(hc["g"])
+            gg = gg + lasso_coeff * np.sign(g)
         if saliency_grad_extra is not None:
             gg = gg + saliency_grad_extra[i]
-        gz2 = gg if fwd.keep_sign else gg * (hc["z2"] > 0)
+        gz2 = gg if fwd.keep_sign else gg * (z2 > 0)
         ga1 = gz2 @ head.w_expand
-        gz1 = ga1 * (hc["z1"] > 0)
+        gz1 = ga1 * (z1 > 0)
         gp += gz1 @ head.w_squeeze
 
         grads.grad_filters.append(grad_w[:, i].reshape(head.filters.shape))
-        grads.grad_w_expand.append(gz2.T @ hc["a1"])
+        grads.grad_w_expand.append(gz2.T @ a1)
         grads.grad_b_expand.append(gz2.sum(axis=0))
-        grads.grad_w_squeeze.append(gz1.T @ hc["p"])
+        grads.grad_w_squeeze.append(gz1.T @ cache["p"])
         grads.grad_b_squeeze.append(gz1.sum(axis=0))
     if input_grad:
         grads.grad_input = col2im(gcols, x.shape, cfg.kernel_size, cfg.stride,

@@ -81,8 +81,7 @@ class DgcNetwork:
                 layer_cfg = DgcLayerConfig(
                     spec.in_channels, spec.out_channels, spec.kernel_size,
                     spec.stride, spec.padding, heads=config.heads,
-                    squeeze=config.squeeze, prune_rate=config.prune_rate,
-                    lasso_coeff=config.lasso)
+                    squeeze=config.squeeze, prune_rate=config.prune_rate)
                 self.blocks.append(Block(spec, bn,
                                          dgc=init_dgc_layer(layer_cfg, rng)))
             else:

@@ -1,7 +1,8 @@
 """Inference path: dynamic index plans, MAC accounting, micro-benchmarks.
 
-An index plan freezes one sample's gating decisions into pre-gathered
-filter slices so the sparse convolution runs as a dense one on a reduced
+An index plan freezes one sample's gating decisions, read from the
+masks and saliencies of a finished dgc_forward, into pre-gathered filter
+slices so the sparse convolution runs as a dense one on a reduced
 channel set. Plan execution reproduces the reference evaluation forward
 bit for bit because both call the same kernel, dgc.gathered_conv, whose
 per-sample GEMMs have the same shape in a stack of one as in a batch.
@@ -28,8 +29,8 @@ import numpy as np
 
 from .core import ConvFilter, conv2d_forward, conv_output_size
 from .dgc import (
+    DgcForward,
     DgcLayer,
-    GateDecision,
     HeadwiseGating,
     _conv_phase,
     _index_phase,
@@ -41,7 +42,7 @@ from .dgc import (
 )
 
 __all__ = ["LayerShape", "MacReport", "mac_dense", "mac_sgc", "mac_dgc",
-           "IndexPlan", "build_index_plan", "plan_from_forward",
+           "IndexPlan", "plan_from_forward",
            "execute_plan", "BenchResult", "run_benchmark",
            "BENCH_CSV_HEADER", "bench_csv_rows", "read_bench_csv"]
 
@@ -149,33 +150,23 @@ class IndexPlan:
         return len(self.indices)
 
 
-def build_index_plan(layer: DgcLayer, decisions: list[GateDecision]) -> IndexPlan:
-    """Freeze per-head decisions against the layer's current filter banks.
-
-    Decisions that no longer fit the layer (index out of range, head count
-    drift) are stale and rejected.
-    """
+def plan_from_forward(layer: DgcLayer, fwd: DgcForward,
+                      sample: int) -> IndexPlan:
+    """Plan for one sample of a completed dgc_forward pass: per head, the
+    sample's kept channels (its mask row), their saliencies and the
+    layer's filter banks gathered to them."""
     cfg = layer.config
-    if len(decisions) != cfg.heads:
-        raise ValueError(f"plan needs {cfg.heads} head decisions, "
-                         f"got {len(decisions)}")
-    indices, amps, banks = [], [], []
-    for head, dec in zip(layer.heads, decisions):
-        if dec.indices.size and (dec.indices[0] < 0
-                                 or dec.indices[-1] >= cfg.in_channels):
-            raise ValueError(f"stale decision: channel indices {dec.indices} "
-                             f"exceed {cfg.in_channels} input channels")
-        indices.append(dec.indices.copy())
-        amps.append(dec.amplify.copy())
-        banks.append(gather_filters(head.filters, dec.indices))
-    return IndexPlan(indices, amps, banks, cfg.in_channels, cfg.stride,
+    shapes = {m.shape[1] for m in fwd.masks}
+    if len(fwd.masks) != cfg.heads or shapes != {cfg.in_channels}:
+        raise ValueError(f"forward has {len(fwd.masks)} heads over "
+                         f"{sorted(shapes)} channels; the layer has "
+                         f"{cfg.heads} heads over {cfg.in_channels}")
+    indices = [np.flatnonzero(m[sample]) for m in fwd.masks]
+    amplify = [g[sample, idx] for g, idx in zip(fwd.saliencies, indices)]
+    filters = [gather_filters(head.filters, idx)
+               for head, idx in zip(layer.heads, indices)]
+    return IndexPlan(indices, amplify, filters, cfg.in_channels, cfg.stride,
                      cfg.padding)
-
-
-def plan_from_forward(layer: DgcLayer, fwd, sample: int) -> IndexPlan:
-    """Plan for one sample of a completed dgc_forward pass."""
-    return build_index_plan(
-        layer, [fwd.decision(h, sample) for h in range(layer.config.heads)])
 
 
 def execute_plan(plan: IndexPlan, x_sample: np.ndarray) -> np.ndarray:

@@ -45,7 +45,8 @@ from .model import DgcNetwork, build_network
 from .runtime import LayerShape, mac_dgc, mac_sgc
 
 __all__ = ["PruneSchedule", "prune_rate_at", "EpochMetrics", "METRICS_HEADER",
-           "train_epoch", "fit", "FitResult", "EvalMetrics", "evaluate",
+           "train_epoch", "fit", "FitResult", "EvalMetrics",
+           "inference_gating", "evaluate",
            "read_metrics_csv", "read_eval_csv"]
 
 
@@ -335,6 +336,18 @@ def read_eval_csv(lines: list[str]) -> EvalMetrics:
                        threshold=float(values[4]))
 
 
+def inference_gating(config: TrainConfig,
+                     threshold_state: GlobalThresholdState | None):
+    """The gating of a trained model: the calibrated global threshold in
+    global mode, else head-wise at the target rate. (Training's own rule,
+    _make_gating, gates at threshold 0 before the first calibration.)"""
+    if config.gating == "global":
+        if threshold_state is None or not threshold_state.initialized:
+            raise ValueError("global gating needs a calibrated threshold")
+        return GlobalGating(threshold_state.threshold)
+    return HeadwiseGating(config.prune_rate)
+
+
 def evaluate(net: DgcNetwork, data: DatasetSource,
              threshold_state: GlobalThresholdState | None = None,
              batch_size: int = 256) -> EvalMetrics:
@@ -347,12 +360,7 @@ def evaluate(net: DgcNetwork, data: DatasetSource,
     """
     config = net.config
     data.check_classes(config.classes)
-    if config.gating == "global":
-        if threshold_state is None or not threshold_state.initialized:
-            raise ValueError("global gating needs a calibrated threshold")
-        gating = GlobalGating(threshold_state.threshold)
-    else:
-        gating = HeadwiseGating(config.prune_rate)
+    gating = inference_gating(config, threshold_state)
 
     n_dgc = len(net.dgc_indices)
     seen = correct = 0

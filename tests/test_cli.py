@@ -141,6 +141,14 @@ class TestTrain:
             assert match[3] == f"{m.realized_prune_rate:.4f}"
             assert float(match[4]) >= 0
 
+    def test_count_below_one_is_usage_error(self, tmp_path, cfg_path,
+                                            capsys):
+        code = main(["train", "--config", cfg_path, "--epochs", "1",
+                     "--out", str(tmp_path / "run"), "--train-count", "200",
+                     "--eval-count", "0"])
+        assert code == EXIT_USAGE
+        assert "--eval-count: must be >= 1, got 0" in capsys.readouterr().err
+
     def test_seed_flag_overrides_config(self, tmp_path, cfg_path, capsys):
         code, _ = run_train(tmp_path, cfg_path,
                             extra=["--epochs", "1", "--seed", "9"])
@@ -395,6 +403,11 @@ class TestBench:
         assert code == EXIT_USAGE
         assert f"--threads: must be >= 1, got {threads}" in \
             capsys.readouterr().err
+
+    def test_zero_kernel_size_is_usage_error(self, capsys):
+        code = main(["bench", "--shapes", "4x4x4k0", "--repeats", "2"])
+        assert code == EXIT_USAGE
+        assert "kernel_size must be >= 1, got 0" in capsys.readouterr().err
 
     def test_bad_shape_token_is_usage_error(self, capsys):
         assert main(["bench", "--shapes", "4x4x5"]) == EXIT_USAGE

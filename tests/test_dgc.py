@@ -16,7 +16,6 @@ from dgconv.core import ConvFilter, conv2d_backward, conv2d_forward, im2col
 from dgconv.dgc import (
     DgcForward,
     DgcLayerConfig,
-    GateDecision,
     GlobalGating,
     HeadwiseGating,
     _gate_masks,
@@ -31,7 +30,6 @@ from dgconv.dgc import (
     sgc_forward,
     shuffled_filters,
 )
-from dgconv.runtime import build_index_plan
 from conftest import naive_conv2d, numerical_grad, rel_error, tap_loop_col2im
 
 SMALL = DgcLayerConfig(in_channels=4, out_channels=4, kernel_size=3, stride=1,
@@ -164,17 +162,6 @@ class TestSelectAmplify:
                           np.ones((1, 1, 1, 1, 1)), 1, 0)
         npt.assert_allclose(y, 3.0 * np.ones((1, 1, 2, 2)))
 
-    def test_rejects_out_of_range(self):
-        layer = small_layer(0)      # 4 input channels
-        for bad in (4, 5, -1):
-            d = GateDecision(np.array([bad]), np.array([1.0]))
-            with pytest.raises(ValueError, match="stale"):
-                build_index_plan(layer, [d] * layer.config.heads)
-
-    def test_decision_rejects_unsorted(self):
-        with pytest.raises(ValueError):
-            GateDecision(np.array([2, 0]), np.array([1.0, 1.0]))
-
     def test_gather_filters_slices(self):
         w = np.random.default_rng(0).normal(size=(8, 6, 3, 3))
         out = gather_filters(w, np.array([1, 4]))
@@ -286,13 +273,14 @@ class TestForward:
         fwd = dgc_forward(x, layer, HeadwiseGating(0.5), training=True)
         for hi, head in enumerate(layer.heads):
             for s in range(x.shape[0]):
-                d = fwd.decision(hi, s)
+                idx = np.flatnonzero(fwd.masks[hi][s])
+                amp = fwd.saliencies[hi][s, idx]
                 dense_in = np.zeros_like(x[s:s + 1])
-                dense_in[0, d.indices] = x[s, d.indices] * d.amplify[:, None, None]
+                dense_in[0, idx] = x[s, idx] * amp[:, None, None]
                 dense = naive_conv2d(dense_in, head.filters, cfg.stride, cfg.padding)
                 gathered = gathered_conv(
-                    x, s, d.indices[None], d.amplify[None],
-                    gather_filters(head.filters, d.indices)[None],
+                    x, s, idx[None], amp[None],
+                    gather_filters(head.filters, idx)[None],
                     cfg.stride, cfg.padding)
                 npt.assert_allclose(dense, gathered, rtol=1e-10, atol=1e-12)
 
@@ -345,15 +333,6 @@ class TestForward:
         npt.assert_array_equal(fwd.output, np.zeros_like(fwd.output))
         assert fwd.realized_prune_rate == 1.0
 
-    def test_decisions_match_masks(self, rng):
-        layer, x = stable_setup(n=3)
-        fwd = dgc_forward(x, layer, HeadwiseGating(0.5))
-        for hi in range(len(layer.heads)):
-            for s in range(3):
-                d = fwd.decision(hi, s)
-                npt.assert_array_equal(d.indices, np.flatnonzero(fwd.masks[hi][s]))
-                npt.assert_allclose(d.amplify, fwd.saliencies[hi][s, d.indices])
-
     def test_rejects_wrong_input_channels(self, rng):
         layer = small_layer(0)
         with pytest.raises(ValueError):
@@ -367,6 +346,14 @@ class TestForward:
         with pytest.raises(ValueError):
             DgcLayerConfig(in_channels=4, out_channels=4, heads=2, squeeze=2,
                            prune_rate=1.0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("in_channels", 0), ("out_channels", 0), ("kernel_size", 0),
+        ("stride", 0), ("padding", -1), ("heads", 0), ("squeeze", 0)])
+    def test_config_rejects_bad_geometry(self, field, value):
+        kw = {"in_channels": 4, "out_channels": 4, "heads": 2, "squeeze": 2}
+        with pytest.raises(ValueError, match=f"{field} must be >= "):
+            DgcLayerConfig(**{**kw, field: value})
 
 
 # Finite-difference geometries: stable_setup arguments for the layer,

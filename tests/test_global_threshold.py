@@ -142,9 +142,8 @@ class TestGlobalGate:
         npt.assert_array_equal(kept([-0.5], 0.3), [[True]])
         fwd = dgc_forward(np.ones((1, 4, 2, 2)), layer, GlobalGating(0.3),
                           training=False)
-        d = fwd.decision(0, 0)
-        npt.assert_array_equal(d.indices, [0])
-        npt.assert_allclose(d.amplify, [-0.5])
+        npt.assert_array_equal(fwd.masks[0][0], [True, False, False, False])
+        npt.assert_allclose(fwd.saliencies[0][0, fwd.masks[0][0]], [-0.5])
 
     def test_empty_selection_allowed(self):
         assert not kept([0.1, -0.2], 5.0).any()

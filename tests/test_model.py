@@ -46,11 +46,9 @@ def stable_net(n=2, hw=6, margin=2e-3):
         fwd = net.forward(x, HeadwiseGating(0.5), training=True)
         ok = all(np.abs(p).min() > margin for p in fwd.pre_relu)
         for i in net.dgc_indices:
-            hc = fwd.dgc_fwds[i]._cache["heads"]
-            for h in hc:
-                gaps = np.abs(np.diff(np.sort(h["g"], axis=1), axis=1))
-                if (np.abs(h["z1"]).min() < margin
-                        or np.abs(h["z2"]).min() < margin
+            for z1, _, z2, g in fwd.dgc_fwds[i]._cache["mlps"]:
+                gaps = np.abs(np.diff(np.sort(g, axis=1), axis=1))
+                if (np.abs(z1).min() < margin or np.abs(z2).min() < margin
                         or gaps.min() < margin):
                     ok = False
         if ok:

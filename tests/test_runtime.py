@@ -9,7 +9,6 @@ import pytest
 from dgconv import runtime
 from dgconv.dgc import (
     DgcLayerConfig,
-    GateDecision,
     GlobalGating,
     HeadwiseGating,
     dgc_forward,
@@ -21,7 +20,6 @@ from dgconv.runtime import (
     LayerShape,
     MacReport,
     bench_csv_rows,
-    build_index_plan,
     execute_plan,
     mac_dense,
     mac_dgc,
@@ -122,21 +120,19 @@ class TestIndexPlan:
             out = execute_plan(plan_from_forward(layer, fwd, s), x[s])
             npt.assert_array_equal(out, fwd.output[s])
 
-    def test_plan_builds_only_the_planned_sample(self, rng, monkeypatch):
-        from dgconv import dgc
-        built = []
-
-        class Counting(GateDecision):
-            def __post_init__(self):
-                built.append(1)
-                super().__post_init__()
-
-        monkeypatch.setattr(dgc, "GateDecision", Counting)
+    def test_plan_builds_only_the_planned_sample(self, rng):
         layer = make_layer(heads=4)
         fwd = dgc_forward(rng.normal(size=(16, 8, 5, 5)), layer,
                           HeadwiseGating(0.5), training=False)
-        plan_from_forward(layer, fwd, 7)
-        assert len(built) == 4
+        plan = plan_from_forward(layer, fwd, 7)
+        others = np.arange(16) != 7
+        for m, g in zip(fwd.masks, fwd.saliencies):
+            m[others] = ~m[others]
+            g[others] = -1.0
+        again = plan_from_forward(layer, fwd, 7)
+        for field in ("indices", "amplify", "filters"):
+            for a, b in zip(getattr(plan, field), getattr(again, field)):
+                npt.assert_array_equal(a, b)
 
     def test_all_channels_selected_is_dense(self, rng):
         layer = make_layer(seed=1)
@@ -147,12 +143,18 @@ class TestIndexPlan:
             npt.assert_array_equal(bank, layer.heads[h].filters)
         npt.assert_array_equal(execute_plan(plan, x[0]), fwd.output[0])
 
-    def test_gather_layout(self):
+    def test_gather_layout(self, rng):
         layer = make_layer(seed=2)
-        decs = [GateDecision(np.array([0, 2]), np.array([1.0, 2.0]))
-                for _ in range(2)]
-        plan = build_index_plan(layer, decs)
-        npt.assert_array_equal(plan.filters[0], layer.heads[0].filters[:, [0, 2]])
+        fwd = dgc_forward(rng.normal(size=(2, 8, 5, 5)), layer,
+                          HeadwiseGating(0.5), training=False)
+        for m in fwd.masks:
+            m[1] = np.isin(np.arange(8), [0, 2])
+        plan = plan_from_forward(layer, fwd, 1)
+        for h, head in enumerate(layer.heads):
+            npt.assert_array_equal(plan.indices[h], [0, 2])
+            npt.assert_array_equal(plan.amplify[h],
+                                   fwd.saliencies[h][1, [0, 2]])
+            npt.assert_array_equal(plan.filters[h], head.filters[:, [0, 2]])
 
     def test_matches_naive_gathered_conv(self, rng):
         layer = make_layer(seed=4)
@@ -166,19 +168,22 @@ class TestIndexPlan:
             # unshuffle: head h occupies interleaved slots h, h+heads, ...
             npt.assert_allclose(out[h::2], ref, rtol=1e-10, atol=1e-12)
 
-    def test_stale_decision_rejected(self):
-        layer = make_layer()
-        decs = [GateDecision(np.array([0, 9]), np.array([1.0, 1.0])),
-                GateDecision(np.array([0]), np.array([1.0]))]
-        with pytest.raises(ValueError, match="stale"):
-            build_index_plan(layer, decs)
-        with pytest.raises(ValueError, match="head decisions"):
-            build_index_plan(layer, decs[:1])
+    def test_stale_decision_rejected(self, rng):
+        """A forward of a layer with another head or channel count does
+        not fit this layer."""
+        layer = make_layer()            # 2 heads over 8 channels
+        for other, c in ((make_layer(heads=4), 8), (make_layer(c=16), 16)):
+            fwd = dgc_forward(rng.normal(size=(1, c, 5, 5)), other,
+                              HeadwiseGating(0.5), training=False)
+            with pytest.raises(ValueError, match="the layer has 2 heads "
+                                                 "over 8"):
+                plan_from_forward(layer, fwd, 0)
 
-    def test_execute_validates_input(self):
+    def test_execute_validates_input(self, rng):
         layer = make_layer()
-        decs = [GateDecision(np.array([0]), np.array([1.0]))] * 2
-        plan = build_index_plan(layer, decs)
+        fwd = dgc_forward(rng.normal(size=(1, 8, 5, 5)), layer,
+                          HeadwiseGating(0.5), training=False)
+        plan = plan_from_forward(layer, fwd, 0)
         with pytest.raises(ValueError):
             execute_plan(plan, np.zeros((5, 4, 4)))
 
