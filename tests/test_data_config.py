@@ -138,24 +138,32 @@ class TestAugmentation:
         out = augment_batch(x, np.random.default_rng(1))
         assert out.shape == x.shape
 
-    def test_crops_and_mirrors(self):
+    def test_crop_shifts_content(self):
+        x = np.zeros((1, 3, 32, 32))
+        x[0, :, 16, 16] = 1.0
+        gen = np.random.default_rng(2)
+        shifted = [np.argwhere(augment_batch(x, gen)[0, 0] == 1.0)
+                   for _ in range(20)]
+        assert all(s.shape == (1, 2) for s in shifted)
+        positions = {tuple(s[0]) for s in shifted}
+        assert len(positions) > 1
+
+    def test_flip_only_mirrors(self):
         """Every output is one of the 81 crops of the zero-padded input,
-        mirrored or not; both kinds and several offsets occur."""
+        mirrored or not; about half are mirrored."""
         n = 400
         x = np.random.default_rng(3).normal(size=(n, 3, 32, 32))
         out = augment_batch(x, np.random.default_rng(4))
         padded = np.pad(x, ((0, 0), (0, 0), (4, 4), (4, 4)))
-        seen = set()
+        mirrored = []
         for i in range(n):
-            match = [(t, l, mirrored) for t in range(9) for l in range(9)
-                     for mirrored in (False, True)
-                     if np.array_equal(out[i, :, :, ::-1] if mirrored
-                                       else out[i],
-                                       padded[i, :, t:t + 32, l:l + 32])]
-            assert match, f"sample {i} is no crop of its padded input"
-            seen.update(match)
-        assert {m for *_, m in seen} == {False, True}
-        assert len({(t, l) for t, l, _ in seen}) > 1
+            match = {m for t in range(9) for l in range(9)
+                     for m in (False, True)
+                     if np.array_equal(out[i, :, :, ::-1] if m else out[i],
+                                       padded[i, :, t:t + 32, l:l + 32])}
+            assert len(match) == 1, f"sample {i}: crop matches {match}"
+            mirrored.append(match.pop())
+        assert 0.3 < np.mean(mirrored) < 0.7
 
 
 class TestConfig:
