@@ -226,33 +226,40 @@ def _check_manifest(path: str, manifest: dict) -> None:
                          f"PCG64 generator: {exc}") from exc
 
 
+def _restore_arrays(ckpt: Checkpoint, targets: dict[str, np.ndarray],
+                    what: str) -> None:
+    """Copy the checkpoint array of each name in targets into it in place;
+    a missing name or another shape raises ValueError naming it."""
+    missing = [k for k in targets if k not in ckpt.arrays]
+    if missing:
+        raise ValueError(f"checkpoint lacks {what}: {missing[:3]}")
+    for name, dst in targets.items():
+        src = ckpt.arrays[name]
+        if src.shape != dst.shape:
+            raise ValueError(f"checkpoint array {name} has shape "
+                             f"{src.shape}, model expects {dst.shape}")
+        dst[...] = src
+
+
 def restore_network(ckpt: Checkpoint) -> DgcNetwork:
     """Build the network declared by the checkpoint's config and load its
     parameters and batch-norm statistics in place."""
     net = DgcNetwork(ckpt.config, np.random.default_rng(ckpt.config.seed))
     targets = dict(net.parameters())
     targets.update({f"state.{k}": v for k, v in net.bn_state().items()})
-    missing = [k for k in targets if k not in ckpt.arrays]
-    if missing:
-        raise ValueError(f"checkpoint lacks parameters: {missing[:3]}")
-    for name, dst in targets.items():
-        src = ckpt.arrays[name]
-        if src.shape != dst.shape:
-            raise ValueError(f"checkpoint parameter {name} has shape "
-                             f"{src.shape}, model expects {dst.shape}")
-        dst[...] = src
+    _restore_arrays(ckpt, targets, "parameters")
     net.set_bn_batches_tracked(ckpt.bn_batches_tracked)
     return net
 
 
 def restore_optimizer(ckpt: Checkpoint, net: DgcNetwork) -> SGD:
+    """An SGD over net's parameters with the checkpoint's velocities, which
+    a bit-exact resume needs: missing or misshapen ones raise."""
     cfg = ckpt.config
     opt = SGD(params=net.parameters(), lr=cfg.lr, momentum=cfg.momentum,
               weight_decay=cfg.weight_decay, no_decay=net.no_decay_names())
-    for name, vel in opt.velocities.items():
-        key = f"opt.{name}"
-        if key in ckpt.arrays:
-            vel[...] = ckpt.arrays[key]
+    _restore_arrays(ckpt, {f"opt.{k}": v for k, v in opt.velocities.items()},
+                    "optimizer velocities")
     return opt
 
 

@@ -66,6 +66,13 @@ def positive_int(text: str) -> int:
     return value
 
 
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="dgconv",
                      description="Dynamic group convolution toolkit.")
@@ -109,7 +116,7 @@ def build_parser() -> _Parser:
                    help="shape tokens CxC'xSkK, e.g. 64x64x32k3")
     p.add_argument("--variants", nargs="+", default=["dense", "sgc", "dgc"])
     p.add_argument("--repeats", type=positive_int, default=30)
-    p.add_argument("--warmup", type=int, default=5)
+    p.add_argument("--warmup", type=non_negative_int, default=5)
     p.add_argument("--out", help="also write the table to this CSV file")
     p.add_argument("--assert-ordering", action="store_true",
                    help="fail (exit 3) unless sgc <= dgc <= dense medians")

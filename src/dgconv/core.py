@@ -475,8 +475,7 @@ class SGD:
 
         d = g + weight_decay * p
         v = momentum * v - lr * d
-        p = p + momentum * v - lr * d      (Nesterov on)
-        p = p + v                          (Nesterov off)
+        p = p + momentum * v - lr * d
 
     Parameters whose names are in ``no_decay`` skip the decay term.
     """
@@ -485,7 +484,6 @@ class SGD:
     lr: float = 0.1
     momentum: float = 0.9
     weight_decay: float = 1e-4
-    nesterov: bool = True
     no_decay: frozenset[str] = frozenset()
     velocities: dict[str, np.ndarray] = field(default_factory=dict)
 
@@ -511,10 +509,7 @@ class SGD:
             v = self.velocities[name]
             v *= self.momentum
             v -= lr * d
-            if self.nesterov:
-                p += self.momentum * v - lr * d
-            else:
-                p += v
+            p += self.momentum * v - lr * d
 
 
 def cosine_lr(epoch: int, total_epochs: int, lr0: float) -> float:

@@ -70,7 +70,7 @@ __all__ = [
     "dgc_backward",
     "DgcForward",
     "DgcGrads",
-    "lasso_loss",
+    "lasso_loss_and_grad",
     "sgc_forward",
 ]
 
@@ -411,8 +411,7 @@ class DgcGrads:
 
 
 def dgc_backward(fwd: DgcForward, layer: DgcLayer, grad_out: np.ndarray,
-                 lasso_coeff: float = 0.0,
-                 saliency_grad_extra: list[np.ndarray] | None = None,
+                 saliency_grad: list[np.ndarray] | None = None,
                  input_grad: bool = True) -> DgcGrads:
     """Backward pass with the masked-gradient rule.
 
@@ -426,12 +425,10 @@ def dgc_backward(fwd: DgcForward, layer: DgcLayer, grad_out: np.ndarray,
     input_grad, rebuilds its gated filters wn to write its rows of
     gcols = wn^T @ grad_out; one col2im then maps the assembled gcols.
 
-    lasso_coeff is the per-element L1 multiplier on the saliencies,
-    already divided by (layers * heads * batch) by the caller.
-    saliency_grad_extra, when given, holds one (N, C) array per head of
-    additional loss gradient w.r.t. the saliencies (e.g. the angle
-    enlargement loss). With input_grad false, grad_input is None and
-    neither gcols nor the col2im is computed.
+    saliency_grad, when given, holds one (N, C) array per head: the
+    gradient of the saliency penalties (lasso, angle) w.r.t. the
+    saliencies, added to the task loss's. With input_grad false,
+    grad_input is None and neither gcols nor the col2im is computed.
     """
     cache = fwd._cache
     if cache is None:
@@ -464,13 +461,11 @@ def dgc_backward(fwd: DgcForward, layer: DgcLayer, grad_out: np.ndarray,
                       out=gcols[b])
     grads = DgcGrads(None, [], [], [], [], [])
     gp = np.zeros((n, cfg.in_channels))     # gradient w.r.t. the pooled means
-    for i, (head, (z1, a1, z2, g)) in enumerate(zip(layer.heads,
+    for i, (head, (z1, a1, z2, _)) in enumerate(zip(layer.heads,
                                                     cache["mlps"])):
         gg = gg_heads[:, i] * fwd.masks[i]
-        if lasso_coeff:
-            gg = gg + lasso_coeff * np.sign(g)
-        if saliency_grad_extra is not None:
-            gg = gg + saliency_grad_extra[i]
+        if saliency_grad is not None:
+            gg = gg + saliency_grad[i]
         gz2 = gg if fwd.keep_sign else gg * (z2 > 0)
         ga1 = gz2 @ head.w_expand
         gz1 = ga1 * (z1 > 0)
@@ -492,19 +487,19 @@ def dgc_backward(fwd: DgcForward, layer: DgcLayer, grad_out: np.ndarray,
 # Losses and baselines
 # ---------------------------------------------------------------------------
 
-def lasso_loss(saliencies: list[np.ndarray], coeff: float) -> float:
-    """L1 sparsity penalty: coeff * mean over entries of batch-mean L1 norm.
-
-    ``saliencies`` holds one array per (layer, head) pair, each (N, C) or
-    (C,); the normalizer is the number of entries, i.e. layers * heads.
-    """
-    if not saliencies:
-        raise ValueError("lasso_loss needs at least one saliency vector")
-    total = 0.0
-    for g in saliencies:
-        g = np.atleast_2d(np.asarray(g, dtype=np.float64))
-        total += float(np.abs(g).sum(axis=1).mean())
-    return coeff * total / len(saliencies)
+def lasso_loss_and_grad(per_layer: list[list[np.ndarray]], coeff: float
+                        ) -> tuple[float, list[list[np.ndarray]]]:
+    """L1 sparsity penalty with its gradient: coeff times the mean, over
+    (layer, head) entries, of the batch-mean L1 norm of the (N, C)
+    saliencies per_layer[l][h]. The gradient, nested like the input, is
+    coeff / (entries * N) * sign(g)."""
+    flat = [g for heads in per_layer for g in heads]
+    if not flat:
+        raise ValueError("lasso loss needs at least one saliency batch")
+    total = sum(float(np.abs(g).sum(axis=1).mean()) for g in flat)
+    scale = coeff / (len(flat) * flat[0].shape[0])
+    return coeff * total / len(flat), [[scale * np.sign(g) for g in heads]
+                                       for heads in per_layer]
 
 
 def sgc_forward(x: np.ndarray, weights: np.ndarray, groups: int,

@@ -181,7 +181,6 @@ def _angle(per_layer, coeff, with_grad):
         g = np.stack([np.atleast_2d(h).astype(np.float64) for h in heads])
         h, n, _ = g.shape
         if h < 2:
-            total += 0.0
             grads.append([np.zeros_like(x, dtype=np.float64) for x in g])
             continue
         unit, norm = _unit_rows(g)

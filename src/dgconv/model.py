@@ -45,6 +45,7 @@ from .dgc import (
 __all__ = ["Block", "DgcNetwork", "NetForward", "build_network"]
 
 SALIENCY_FIELDS = ("w_squeeze", "b_squeeze", "w_expand", "b_expand")
+HEAD_FIELDS = ("filters",) + SALIENCY_FIELDS    # DgcGrads names: grad_<field>
 
 
 @dataclass
@@ -103,8 +104,7 @@ class DgcNetwork:
         for i, blk in enumerate(self.blocks):
             if blk.dgc is not None:
                 for j, head in enumerate(blk.dgc.heads):
-                    params[f"b{i}.h{j}.filters"] = head.filters
-                    for name in SALIENCY_FIELDS:
+                    for name in HEAD_FIELDS:
                         params[f"b{i}.h{j}.{name}"] = getattr(head, name)
             else:
                 params[f"b{i}.weights"] = blk.weights
@@ -165,15 +165,15 @@ class DgcNetwork:
                           feat_hw)
 
     def backward(self, fwd: NetForward, grad_logits: np.ndarray,
-                 lasso_coeff: float = 0.0,
-                 saliency_grad_extra: dict[int, list[np.ndarray]] | None = None,
+                 saliency_grads: list[list[np.ndarray]] | None = None,
                  ) -> dict[str, np.ndarray]:
         """Gradients for every parameter, keyed like parameters().
 
-        lasso_coeff is the per-saliency-element L1 multiplier (already
-        normalized by layer count, head count, and batch size);
-        saliency_grad_extra maps block index -> per-head extra gradients.
+        saliency_grads, nested like fwd.saliencies_per_layer(), holds
+        the saliency penalties' gradient of every DGC block's heads.
         """
+        sal = {} if saliency_grads is None else dict(
+            zip(self.dgc_indices, saliency_grads, strict=True))
         grads: dict[str, np.ndarray] = {}
         gx, gw, gb = linear_backward(fwd.pooled, self.fc_weight, grad_logits)
         grads["fc.weight"], grads["fc.bias"] = gw, gb
@@ -187,17 +187,12 @@ class DgcNetwork:
             grads[f"b{i}.bn.beta"] = blk.bn.grad_beta
             x_in = fwd.block_inputs[i]
             if blk.dgc is not None:
-                extra = (saliency_grad_extra or {}).get(i)
-                dgrads = dgc_backward(fwd.dgc_fwds[i], blk.dgc, gx,
-                                      lasso_coeff=lasso_coeff,
-                                      saliency_grad_extra=extra,
+                dgrads = dgc_backward(fwd.dgc_fwds[i], blk.dgc, gx, sal.get(i),
                                       input_grad=input_grad)
                 for j in range(len(blk.dgc.heads)):
-                    grads[f"b{i}.h{j}.filters"] = dgrads.grad_filters[j]
-                    grads[f"b{i}.h{j}.w_squeeze"] = dgrads.grad_w_squeeze[j]
-                    grads[f"b{i}.h{j}.b_squeeze"] = dgrads.grad_b_squeeze[j]
-                    grads[f"b{i}.h{j}.w_expand"] = dgrads.grad_w_expand[j]
-                    grads[f"b{i}.h{j}.b_expand"] = dgrads.grad_b_expand[j]
+                    for name in HEAD_FIELDS:
+                        grads[f"b{i}.h{j}.{name}"] = \
+                            getattr(dgrads, f"grad_{name}")[j]
                 gx = dgrads.grad_input
             else:
                 filt = ConvFilter(blk.weights, blk.spec.stride, blk.spec.padding)

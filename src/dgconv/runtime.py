@@ -335,6 +335,8 @@ def run_benchmark(shapes: list[tuple[int, int, int, int]],
             raise ValueError(f"unknown benchmark variant {variant!r}")
     if repeats < 1:
         raise ValueError("repeats must be positive")
+    if warmup < 0:
+        raise ValueError(f"warmup must be >= 0, got {warmup}")
     groups = 4
     rng = np.random.default_rng(seed)
     results = []

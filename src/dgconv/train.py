@@ -31,7 +31,7 @@ from .checkpoint import (
 from .config import TrainConfig, serialize_config
 from .core import SGD, conv_output_size, cosine_lr, softmax_cross_entropy
 from .data import DatasetSource
-from .dgc import GlobalGating, HeadwiseGating, lasso_loss
+from .dgc import GlobalGating, HeadwiseGating, lasso_loss_and_grad
 from .global_threshold import (
     GlobalThresholdState,
     SaliencyLibrary,
@@ -150,7 +150,6 @@ def train_epoch(net: DgcNetwork, optimizer: SGD, data: DatasetSource,
     active = prune_rate_at(epoch, schedule)
     gating = _make_gating(config, active, threshold_state)
     n_dgc = len(net.dgc_indices)
-    heads = config.heads
 
     n_batches = math.ceil(len(data) / config.batch_size)
     collect_from = max(0, n_batches - config.collection_iterations) \
@@ -165,24 +164,23 @@ def train_epoch(net: DgcNetwork, optimizer: SGD, data: DatasetSource,
         ce, dlogits = softmax_cross_entropy(fwd.logits, y)
 
         lasso_val = angle_val = 0.0
-        lasso_elem = 0.0
-        extra = None
+        sal_grads = None    # the penalties' saliency gradient, per head
         per_layer = fwd.saliencies_per_layer()
         if n_dgc and config.lasso > 0:
-            flat = [g for heads_g in per_layer for g in heads_g]
-            lasso_val = lasso_loss(flat, config.lasso)
-            lasso_elem = config.lasso / (n_dgc * heads * nb)
+            lasso_val, sal_grads = lasso_loss_and_grad(per_layer,
+                                                       config.lasso)
         if n_dgc and config.gating == "global" and config.angle > 0:
             angle_val, angle_grads = angle_loss_and_grad(per_layer,
                                                          config.angle)
-            extra = dict(zip(net.dgc_indices, angle_grads))
+            sal_grads = angle_grads if sal_grads is None else [
+                [a + b for a, b in zip(la, lb)]
+                for la, lb in zip(sal_grads, angle_grads)]
         total = ce + lasso_val + angle_val
         if not np.isfinite(total):
             raise RuntimeError(f"non-finite loss {total} at epoch {epoch}, "
                                f"batch {i}")
 
-        grads = net.backward(fwd, dlogits, lasso_coeff=lasso_elem,
-                             saliency_grad_extra=extra)
+        grads = net.backward(fwd, dlogits, sal_grads)
         optimizer.step(grads, lr)
 
         if i >= collect_from:

@@ -114,6 +114,29 @@ class TestRoundTrip:
             npt.assert_array_equal(opt2.velocities[name], v)
         assert np.abs(opt.velocities["fc.weight"]).max() > 0
 
+    def test_missing_velocities_rejected_on_resume(self, tmp_path):
+        """A checkpoint without its opt.* rows still restores the network,
+        which is all evaluation reads, but not the optimizer: zero
+        velocities would make a resumed run silently differ."""
+        net, opt, rng = trained_state()
+        opt.velocities.clear()
+        path = str(tmp_path / "nov.ckpt")
+        save_checkpoint(path, net, opt, epoch=1, rng=rng, stats=STATS)
+        ckpt = load_checkpoint(path)
+        net2 = restore_network(ckpt)
+        with pytest.raises(ValueError, match="lacks optimizer velocities.*opt"):
+            restore_optimizer(ckpt, net2)
+
+    def test_misshapen_velocity_rejected(self, tmp_path):
+        """A (1, 1) velocity is not broadcast into the (4, 2) fc.weight."""
+        net, opt, rng = trained_state()
+        opt.velocities["fc.weight"] = np.array([[0.5]])
+        path = str(tmp_path / "vshape.ckpt")
+        save_checkpoint(path, net, opt, epoch=1, rng=rng, stats=STATS)
+        ckpt = load_checkpoint(path)
+        with pytest.raises(ValueError, match="opt.fc.weight has shape"):
+            restore_optimizer(ckpt, restore_network(ckpt))
+
     def test_threshold_state_persisted(self, tmp_path):
         net, opt, rng = trained_state()
         path = str(tmp_path / "f.ckpt")

@@ -404,6 +404,12 @@ class TestBench:
         assert f"--threads: must be >= 1, got {threads}" in \
             capsys.readouterr().err
 
+    def test_negative_warmup_is_usage_error(self, capsys):
+        code = main(["bench", "--shapes", "4x4x5k3", "--repeats", "2",
+                     "--warmup", "-3", "--variants", "dense"])
+        assert code == EXIT_USAGE
+        assert "--warmup: must be >= 0, got -3" in capsys.readouterr().err
+
     def test_zero_kernel_size_is_usage_error(self, capsys):
         code = main(["bench", "--shapes", "4x4x4k0", "--repeats", "2"])
         assert code == EXIT_USAGE

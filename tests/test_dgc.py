@@ -26,7 +26,7 @@ from dgconv.dgc import (
     gathered_conv,
     init_dgc_layer,
     kept_channels,
-    lasso_loss,
+    lasso_loss_and_grad,
     sgc_forward,
     shuffled_filters,
 )
@@ -370,10 +370,11 @@ GRADIENT_CASES = {
 }
 
 
-def per_head_backward(x, layer, fwd, grad_out, lasso_coeff):
+def per_head_backward(x, layer, fwd, grad_out, saliency_grad):
     """dgc_backward by a second formulation: the gate indexed per
     (channel, tap), einsum contractions over (o, c, t), a tap-loop col2im
-    and the saliency path added to the input gradient head by head."""
+    and the saliency path, with the injected saliency_grad, added to the
+    input gradient head by head."""
     cfg = layer.config
     n, k, co = x.shape[0], cfg.kernel_size, cfg.head_out_channels
     cols = im2col(x, k, cfg.stride, cfg.padding)[0]
@@ -395,8 +396,7 @@ def per_head_backward(x, layer, fwd, grad_out, lasso_coeff):
         z1 = p @ head.w_squeeze.T + head.b_squeeze
         a1 = np.maximum(z1, 0.0)
         z2 = a1 @ head.w_expand.T + head.b_expand
-        gg = gg_heads[:, i] * fwd.masks[i] \
-            + lasso_coeff * np.sign(fwd.saliencies[i])
+        gg = gg_heads[:, i] * fwd.masks[i] + saliency_grad[i]
         gz2 = gg if fwd.keep_sign else gg * (z2 > 0)
         gz1 = (gz2 @ head.w_expand) * (z1 > 0)
         grad_x += (gz1 @ head.w_squeeze)[:, :, None, None] / (
@@ -441,8 +441,11 @@ class TestBackward:
     @pytest.mark.parametrize("case", GRADIENT_CASES)
     def test_matches_per_head_reference(self, case):
         layer, x, gating, r = self.loss_setup(**GRADIENT_CASES[case])
-        fwd, grads = self.run_backward(layer, x, gating, r, lasso_coeff=1e-3)
-        ref = per_head_backward(x, layer, fwd, r, lasso_coeff=1e-3)
+        gen = np.random.default_rng(23)
+        sal = [1e-3 * gen.normal(size=(x.shape[0], layer.config.in_channels))
+               for _ in layer.heads]
+        fwd, grads = self.run_backward(layer, x, gating, r, saliency_grad=sal)
+        ref = per_head_backward(x, layer, fwd, r, sal)
         pairs = [("grad_input", grads.grad_input, ref.pop("grad_input"))]
         pairs += [(name, a, b) for name, want in ref.items()
                   for a, b in zip(getattr(grads, name), want)]
@@ -479,15 +482,18 @@ class TestBackward:
         assert rel_error(grads.grad_w_expand[0], num_w) < 1e-5
 
     def test_lasso_gradient(self):
+        """The lasso's gradient injected as the saliency gradient is the
+        gradient of its value through the saliency generator."""
         layer, x, gating, r = self.loss_setup()
         coeff = 1e-2
-        _, grads = self.run_backward(layer, x, gating, r, lasso_coeff=coeff)
+        fwd = dgc_forward(x, layer, gating, training=True)
+        _, (sal,) = lasso_loss_and_grad([fwd.saliencies], coeff)
+        grads = dgc_backward(fwd, layer, r, saliency_grad=sal)
 
         def f():
             fwd = dgc_forward(x, layer, gating)
             main = float((fwd.output * r).sum())
-            return main + coeff * sum(float(np.abs(g).sum())
-                                      for g in fwd.saliencies)
+            return main + lasso_loss_and_grad([fwd.saliencies], coeff)[0]
 
         num = numerical_grad(f, layer.heads[0].w_expand)
         assert rel_error(grads.grad_w_expand[0], num) < 1e-5
@@ -497,8 +503,7 @@ class TestBackward:
         gen = np.random.default_rng(17)
         extra = [gen.normal(size=(x.shape[0], layer.config.in_channels))
                  for _ in layer.heads]
-        _, grads = self.run_backward(layer, x, gating, r,
-                                     saliency_grad_extra=extra)
+        _, grads = self.run_backward(layer, x, gating, r, saliency_grad=extra)
 
         def f():
             fwd = dgc_forward(x, layer, gating)
@@ -556,7 +561,8 @@ class TestBackward:
         def run(elements, **kw):
             monkeypatch.setattr(dgc, "GATED_BLOCK_ELEMENTS", elements)
             fwd = dgc_forward(x, layer, GlobalGating(0.1), training=True)
-            return fwd, dgc_backward(fwd, layer, r, lasso_coeff=1e-3, **kw)
+            _, (sal,) = lasso_loss_and_grad([fwd.saliencies], 1e-3)
+            return fwd, dgc_backward(fwd, layer, r, saliency_grad=sal, **kw)
 
         one_fwd, one = run(7 * per_sample)
         assert [b.indices(7) for b in dgc._sample_blocks(7, per_sample)] == \
@@ -605,22 +611,44 @@ class TestBackward:
 
 class TestLasso:
     def test_single_vector(self):
-        assert lasso_loss([np.array([1.0, -2.0, 0.5])], 0.1) == pytest.approx(0.35)
+        g = np.array([[1.0, -2.0, 0.5]])
+        value, grads = lasso_loss_and_grad([[g]], 0.1)
+        assert value == pytest.approx(0.35)
+        npt.assert_array_equal(grads[0][0], [[0.1, -0.1, 0.1]])
 
     def test_averages_over_entries_and_batch(self):
         g1 = np.array([[1.0, 1.0], [3.0, 3.0]])   # batch-mean L1 = 4
         g2 = np.array([[2.0, 0.0], [0.0, 0.0]])   # batch-mean L1 = 1
-        assert lasso_loss([g1, g2], 2.0) == pytest.approx(2.0 * (4 + 1) / 2)
+        value, grads = lasso_loss_and_grad([[g1], [g2]], 2.0)
+        assert value == pytest.approx(2.0 * (4 + 1) / 2)
+        # 2 entries, batch 2: each element's weight is 2 / (2 * 2).
+        npt.assert_array_equal(grads[1][0], 0.5 * np.sign(g2))
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            lasso_loss([], 1.0)
+        for per_layer in ([], [[]]):
+            with pytest.raises(ValueError):
+                lasso_loss_and_grad(per_layer, 1.0)
 
     def test_matches_layer_scale(self, rng):
         layer, x = stable_setup()
         fwd = dgc_forward(x, layer, HeadwiseGating(0.5))
         manual = np.mean([np.abs(g).sum(axis=1).mean() for g in fwd.saliencies])
-        assert lasso_loss(fwd.saliencies, 1e-5) == pytest.approx(1e-5 * manual)
+        value, _ = lasso_loss_and_grad([fwd.saliencies], 1e-5)
+        assert value == pytest.approx(1e-5 * manual)
+
+    def test_gradient_finite_difference(self, rng):
+        """Two layers of 3 and 2 heads, batch 4, every saliency at least
+        0.1 from zero: each returned gradient matches central
+        differences of the returned value."""
+        per_layer = [[rng.choice([-1.0, 1.0], size=(4, c))
+                      * rng.uniform(0.1, 2.0, size=(4, c)) for _ in range(h)]
+                     for h, c in ((3, 5), (2, 8))]
+        _, grads = lasso_loss_and_grad(per_layer, 0.7)
+        for heads, head_grads in zip(per_layer, grads):
+            for g, got in zip(heads, head_grads):
+                num = numerical_grad(
+                    lambda: lasso_loss_and_grad(per_layer, 0.7)[0], g)
+                assert rel_error(got, num) < 1e-8
 
 
 def block_diagonal(w, groups):

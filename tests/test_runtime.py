@@ -295,6 +295,11 @@ class TestBenchmark:
             run_benchmark([(8, 8, 4, 3)], variants=["magic"], repeats=2,
                           warmup=0)
 
+    def test_rejects_negative_warmup(self):
+        with pytest.raises(ValueError, match="warmup must be >= 0, got -1"):
+            run_benchmark([(8, 8, 4, 3)], variants=["dense"], repeats=2,
+                          warmup=-1)
+
     def test_auto_scaling_noted_for_tiny_work(self):
         results = run_benchmark([(2, 2, 2, 1)], variants=["dense"],
                                 threads=1, repeats=3, warmup=1)
@@ -344,3 +349,28 @@ class TestLimitThreads:
             assert actual == 0
         with runtime._limit_threads(None) as actual:
             assert actual == 0
+
+    def test_threadpoolctl_caps_and_reads_blas_pool(self, monkeypatch):
+        """With threadpoolctl importable, the cap goes through
+        threadpool_limits and the yielded count is the BLAS pool's
+        num_threads; an OpenMP pool's count is ignored."""
+        import contextlib
+        import types
+
+        requested = []
+
+        @contextlib.contextmanager
+        def threadpool_limits(limits):
+            requested.append(limits)
+            yield
+
+        stub = types.ModuleType("threadpoolctl")
+        stub.threadpool_limits = threadpool_limits
+        stub.threadpool_info = lambda: [
+            {"user_api": "openmp", "num_threads": 8},
+            {"user_api": "blas", "num_threads": 3}]
+        monkeypatch.setitem(sys.modules, "threadpoolctl", stub)
+        monkeypatch.setattr(runtime, "_bundled_openblas", lambda: None)
+        with runtime._limit_threads(2) as actual:
+            assert requested == [2]
+            assert actual == 3
