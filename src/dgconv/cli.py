@@ -253,6 +253,16 @@ def _check_ordering(results) -> None:
                 f"dense={medians['dense']:.3e}", EXIT_ASSERT)
 
 
+def _reject_repeats(flag: str, tokens: list[str], keys: list) -> None:
+    """Exit 1 naming the first token whose key an earlier token had: a
+    repeat would time its rows twice and --assert-ordering read one."""
+    seen = set()
+    for token, key in zip(tokens, keys):
+        if key in seen:
+            raise CliError(f"{flag} repeats {token!r}")
+        seen.add(key)
+
+
 def cmd_bench(args) -> int:
     shapes = []
     for token in args.shapes:
@@ -260,6 +270,8 @@ def cmd_bench(args) -> int:
         if not m:
             raise CliError(f"bad shape token {token!r}, expected CxC'xSkK")
         shapes.append(tuple(int(g) for g in m.groups()))
+    _reject_repeats("--shapes", args.shapes, shapes)
+    _reject_repeats("--variants", args.variants, args.variants)
     if args.repeats == 1:
         print("warning: --repeats 1 gives no dispersion estimate",
               file=sys.stderr)

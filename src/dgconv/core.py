@@ -16,11 +16,14 @@ im2col/col2im. The constants sit next to the timings they come from.
 
 The patch matrix is channel-major: im2col(x) is (N, C*k*k, H'*W'), row
 c*k*k + a*k + b of sample n holding tap (a, b) of channel c at every
-output pixel. It is one copy of a window view of the padded input, and a
-GEMM W (C', C*k*k) @ cols[n] gives sample n's output already in NCHW
-order. col2im, its adjoint, is one np.bincount over a memoized index of
-each entry's padded position, equal bit for bit to the loop of k^2
-strided slice additions it replaces.
+output pixel, and a GEMM W (C', C*k*k) @ cols[n] gives sample n's output
+already in NCHW order. On outputs at most IM2COL_TAKE_MAX_WIDTH pixels
+wide (the desk model's gated layers, 4 and 8 wide) it is one np.take of
+each padded plane through a memoized index of each entry's padded
+position; on wider ones it is one copy of a window view of the padded
+input. Both copy the same values, so the matrix is the same bit for bit.
+col2im, the adjoint, is one np.bincount over the same index, equal bit
+for bit to the loop of k^2 strided slice additions it replaces.
 """
 
 from __future__ import annotations
@@ -106,22 +109,55 @@ def conv_output_size(size: int, k: int, stride: int, pad: int) -> int:
     return out
 
 
+# Output widths up to which im2col unfolds with one np.take through
+# _patch_index instead of copying the window view. Each inner row of the
+# window copy moves only W' doubles, and on narrow maps the copy's
+# per-row overhead outweighs the take's indexed reads. im2col on each
+# path, 1 BLAS thread, padding included (2-core Xeon, numpy 2.4; medians
+# of 15 runs, interleaving the paths):
+#
+#   N x C @ map, stride       W'   window   take   ms
+#   256 x 3 @ 32x32, s2       16     3.72   4.35   the desk stem
+#   64 x 16 @ 16x16, s1       16     2.47   2.84
+#   64 x 16 @ 12x12, s1       12     1.38   1.49
+#   1 x 256 @ 14x14, s1       14     0.53   0.51
+#   1 x 64 @ 56x56, s1        56     1.44   2.00   layer_b1's dense layer
+#   64 x 16 @ 10x10, s1       10     1.26   1.06
+#   64 x 8 @ 16x16, s2         8     0.58   0.53   the desk model's gated
+#   64 x 16 @ 8x8, s2          4     0.38   0.28   layers and their
+#   64 x 32 @ 4x4, s1          4     0.74   0.41   evaluation stacks
+#   256 x 16 @ 4x4, s1         4     1.49   0.89
+#
+# Both paths copy the same values, so the patch matrix is the same bit
+# for bit. The rule reads the output width of one sample, never the
+# stack size.
+IM2COL_TAKE_MAX_WIDTH = 8
+
+
 def im2col(x: np.ndarray, k: int, stride: int, pad: int) -> tuple[np.ndarray, int, int]:
     """Unfold x into the channel-major patch matrix (N, C*k*k, H'*W').
 
     cols[n, c*k*k + a*k + b, i*W' + j] = xpad[n, c, i*stride + a,
     j*stride + b]: rows are channel-major then kernel row/col, which fixes
-    the accumulation order of the matmul-based convolution.
+    the accumulation order of the matmul-based convolution. Outputs at
+    most IM2COL_TAKE_MAX_WIDTH wide are one np.take of each padded plane
+    through _patch_index; wider ones, and an unpadded input that is not
+    C-contiguous (np.take would copy it first), copy the window view.
     """
     n, c, h, w = x.shape
     oh = conv_output_size(h, k, stride, pad)
     ow = conv_output_size(w, k, stride, pad)
     if pad:
         x = _padded(x, pad, None)
-    # One copy of the (N, C, k, k, H', W') window view: 10-25% faster than
-    # k^2 slice copies on the desk model's maps.
-    win = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
-    cols = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3))
+    hp, wp = x.shape[2:]
+    if ow <= IM2COL_TAKE_MAX_WIDTH and x.flags.c_contiguous:
+        cols = np.take(x.reshape(n, c, hp * wp), _patch_index(hp, wp, k, stride),
+                       axis=2)
+    else:
+        # One copy of the (N, C, k, k, H', W') window view: 10-25% faster
+        # than k^2 slice copies on the desk model's maps.
+        win = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+        cols = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3))
     return cols.reshape(n, c * k * k, oh * ow), oh, ow
 
 
@@ -137,10 +173,10 @@ def col2im(gcols: np.ndarray, x_shape: tuple[int, ...], k: int, stride: int,
     """
     n, c, h, w = x_shape
     hp, wp = h + 2 * pad, w + 2 * pad
-    plane = c * hp * wp
-    index = _col2im_index(c, hp, wp, k, stride)
-    index = (index + np.arange(0, n * plane, plane)[:, None]).ravel()
-    gx = np.bincount(index, weights=gcols.ravel(), minlength=n * plane)
+    plane = hp * wp
+    index = (_patch_index(hp, wp, k, stride)
+             + np.arange(0, n * c * plane, plane)[:, None]).ravel()
+    gx = np.bincount(index, weights=gcols.ravel(), minlength=n * c * plane)
     gx = gx.reshape(n, c, hp, wp)
     if pad:
         gx = gx[:, :, pad:pad + h, pad:pad + w]
@@ -148,18 +184,17 @@ def col2im(gcols: np.ndarray, x_shape: tuple[int, ...], k: int, stride: int,
 
 
 @functools.lru_cache(maxsize=64)
-def _col2im_index(c: int, hp: int, wp: int, k: int, stride: int) -> np.ndarray:
-    """Flat position in one zero-padded (C, Hp, Wp) sample of each entry
-    of its patch matrix, in the matrix's (c, a, b, i, j) order; read-only,
-    as it is shared between calls."""
+def _patch_index(hp: int, wp: int, k: int, stride: int) -> np.ndarray:
+    """Flat position in one zero-padded (Hp, Wp) plane of each entry of
+    its rows of the patch matrix, in (a, b, i, j) order; read-only, as it
+    is shared between calls. It holds no channel count, so one index
+    serves every channel count of a geometry: im2col takes through it
+    plane by plane, and col2im offsets it to each plane of the batch."""
     oh = conv_output_size(hp, k, stride, 0)
     ow = conv_output_size(wp, k, stride, 0)
-    rows = (np.arange(c)[:, None, None] * hp
-            + np.arange(k)[None, :, None]
-            + stride * np.arange(oh)[None, None, :])        # (C, k, H')
+    rows = np.arange(k)[:, None] + stride * np.arange(oh)[None, :]   # (k, H')
     cols = np.arange(k)[:, None] + stride * np.arange(ow)[None, :]   # (k, W')
-    index = (rows[:, :, None, :, None] * wp
-             + cols[None, None, :, None, :]).reshape(1, -1)
+    index = (rows[:, None, :, None] * wp + cols[None, :, None, :]).ravel()
     index.flags.writeable = False
     return index
 

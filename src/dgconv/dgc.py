@@ -194,7 +194,11 @@ def _topk_mask(g: np.ndarray, k: int) -> np.ndarray:
 
 def gather_filters(filters: np.ndarray, indices: np.ndarray) -> np.ndarray:
     """Restrict a filter bank (C_out, C, k, k) to the given in-channel
-    slices; the result is C-contiguous, as gathered_conv expects."""
+    indices along axis 1. A plan's 1-D indices (kc,) give one C-contiguous
+    bank (C_out, kc, k, k). 2-D indices (r, kc) give (C_out, r, kc, k, k),
+    which _conv_phase moves to an (r, C_out, kc, k, k) view that is not
+    C-contiguous: batched_conv's GEMMs read it with a row stride, and its
+    shifted taps copy every bank into per-tap order either way."""
     if filters.ndim != 4:
         raise ValueError(f"filter bank must be 4-D, got {filters.shape}")
     return np.take(filters, np.asarray(indices, dtype=np.int64), axis=1)

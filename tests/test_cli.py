@@ -425,6 +425,23 @@ class TestBench:
         assert code == EXIT_USAGE
         assert "turbo" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,named", [
+        (["--variants", "dense", "dgc", "dgc"], "--variants repeats 'dgc'"),
+        (["--shapes", "4x4x5k3", "8x8x5k3", "4x4x5k3"],
+         "--shapes repeats '4x4x5k3'"),
+        (["--shapes", "4x4x5k3", "04x4x5k3"],
+         "--shapes repeats '04x4x5k3'"),
+    ])
+    def test_repeated_token_is_usage_error(self, monkeypatch, capsys, argv,
+                                           named):
+        import dgconv.cli as cli_mod
+        calls = []
+        monkeypatch.setattr(cli_mod, "run_benchmark",
+                            lambda *a, **k: calls.append(1) or fake_results())
+        assert main(["bench", "--assert-ordering"] + argv) == EXIT_USAGE
+        assert named in capsys.readouterr().err
+        assert not calls
+
     def test_assert_ordering_pass_and_fail(self, monkeypatch, capsys):
         import dgconv.cli as cli_mod
         monkeypatch.setattr(cli_mod, "run_benchmark",
