@@ -141,8 +141,7 @@ def im2col(x: np.ndarray, k: int, stride: int, pad: int) -> tuple[np.ndarray, in
     j*stride + b]: rows are channel-major then kernel row/col, which fixes
     the accumulation order of the matmul-based convolution. Outputs at
     most IM2COL_TAKE_MAX_WIDTH wide are one np.take of each padded plane
-    through _patch_index; wider ones, and an unpadded input that is not
-    C-contiguous (np.take would copy it first), copy the window view.
+    through _patch_index; wider ones copy the window view.
     """
     n, c, h, w = x.shape
     oh = conv_output_size(h, k, stride, pad)
@@ -150,7 +149,7 @@ def im2col(x: np.ndarray, k: int, stride: int, pad: int) -> tuple[np.ndarray, in
     if pad:
         x = _padded(x, pad, None)
     hp, wp = x.shape[2:]
-    if ow <= IM2COL_TAKE_MAX_WIDTH and x.flags.c_contiguous:
+    if ow <= IM2COL_TAKE_MAX_WIDTH:
         cols = np.take(x.reshape(n, c, hp * wp), _patch_index(hp, wp, k, stride),
                        axis=2)
     else:

@@ -162,58 +162,45 @@ class TestBatchedConv:
 
 class TestPatchMatrix:
     """im2col's channel-major layout on both of its unfolds (the take on
-    maps at most core.IM2COL_TAKE_MAX_WIDTH wide, the window copy on
+    outputs at most core.IM2COL_TAKE_MAX_WIDTH wide, the window copy on
     wider ones), and col2im as its adjoint."""
 
-    GEOMETRIES = [(k, stride, pad) for k in (1, 3) for stride in (1, 2)
-                  for pad in (0, 1)]
-    # Non-square inputs whose outputs are narrow (at most 7 wide) and wide
-    # (at least 10 wide) at every geometry above.
-    SHAPES = [(2, 3, 6, 5), (2, 3, 5, 21)]
+    GEOMETRIES = [(k, stride, pad) for k in (1, 3, 5) for stride in (1, 2, 3)
+                  for pad in (0, 1, 2)]
 
     @staticmethod
-    def unfold(monkeypatch, path, x, k, stride, pad):
-        """im2col with the take forced on ("take") or off ("window")."""
-        monkeypatch.setattr(core, "IM2COL_TAKE_MAX_WIDTH",
-                            10 ** 9 if path == "take" else 0)
-        return core.im2col(x, k, stride, pad)[0]
+    def widths():
+        limit = core.IM2COL_TAKE_MAX_WIDTH
+        return {limit - 1, limit, limit + 1, limit + 4}
+
+    @staticmethod
+    def inputs(rng, k, stride, pad):
+        """Stacks of 2 on maps whose outputs are one narrower than the
+        limit, at it, one wider and four wider, a non-contiguous channel
+        slice and an input with no channels."""
+        h = k + 2
+        xs = []
+        for ow in TestPatchMatrix.widths():
+            w = (ow - 1) * stride + k - 2 * pad      # output exactly ow wide
+            xs.append(rng.normal(size=(2, 3, h, w)))
+        xs.append(rng.normal(size=(2, 5, h, w))[:, 1:4])
+        xs.append(np.empty((2, 0, h, w)))
+        return xs
 
     @pytest.mark.parametrize("k,stride,pad", GEOMETRIES)
     def test_layout(self, rng, k, stride, pad):
-        for shape in self.SHAPES:
-            x = rng.normal(size=shape)
+        widths = set()
+        for x in self.inputs(rng, k, stride, pad):
+            n, c = x.shape[:2]
             cols, oh, ow = core.im2col(x, k, stride, pad)
-            assert cols.shape == (2, 3 * k * k, oh * ow)
+            assert cols.shape == (n, c * k * k, oh * ow)
+            widths.add(ow)
             xpad = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-            for n in range(2):
-                for c in range(3):
-                    for a in range(k):
-                        for b in range(k):
-                            for i in range(oh):
-                                for j in range(ow):
-                                    assert (cols[n, c * k * k + a * k + b,
-                                                 i * ow + j]
-                                            == xpad[n, c, i * stride + a,
-                                                    j * stride + b])
-
-    @pytest.mark.parametrize("k,stride,pad",
-                             [(k, s, p) for k in (1, 3, 5) for s in (1, 2, 3)
-                              for p in (0, 1, 2)])
-    def test_take_equals_window_copy_bit_for_bit(self, rng, monkeypatch, k,
-                                                 stride, pad):
-        limit = core.IM2COL_TAKE_MAX_WIDTH
-        for ow in (limit - 1, limit, limit + 1):
-            w = (ow - 1) * stride + k - 2 * pad      # output exactly ow wide
-            x = rng.normal(size=(3, 4, k + 2, w))    # a stack, non-square
-            inputs = [x, x[:, 1:3],                  # a non-contiguous view
-                      np.empty((3, 0, k + 2, w))]    # no channels
-            for xi in inputs:
-                cols, _, got_ow = core.im2col(xi, k, stride, pad)
-                assert got_ow == ow
-                for path in ("window", "take"):
-                    npt.assert_array_equal(
-                        self.unfold(monkeypatch, path, xi, k, stride, pad), cols)
-                monkeypatch.undo()
+            # cols[n, c*k*k + a*k + b, i*W' + j] == xpad[n, c, i*s + a, j*s + b]
+            nn, cc, a, b, i, j = np.indices((n, c, k, k, oh, ow))
+            npt.assert_array_equal(cols.reshape(n, c, k, k, oh, ow),
+                                   xpad[nn, cc, i * stride + a, j * stride + b])
+        assert widths == self.widths()
 
     def test_narrow_unfold_takes_through_col2im_index(self, rng):
         index = core._patch_index
@@ -230,15 +217,10 @@ class TestPatchMatrix:
         assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
         wide = rng.normal(size=(2, 5, 8, 9))          # 9 wide: window copy
         core.im2col(wide, 3, 1, 1)
-        # An unpadded channel slice is not C-contiguous: np.take would
-        # copy it whole first, so it copies the window view instead.
-        core.im2col(narrow[:, 1:3], 3, 1, 0)
         assert index.cache_info() == info
 
     @pytest.mark.parametrize("batch", [1, 3])
-    @pytest.mark.parametrize("k,stride,pad",
-                             [(k, s, p) for k in (1, 3, 5) for s in (1, 2, 3)
-                              for p in (0, 1, 2)])
+    @pytest.mark.parametrize("k,stride,pad", GEOMETRIES)
     def test_col2im_equals_tap_loop_bit_for_bit(self, rng, k, stride, pad,
                                                 batch):
         shape = (batch, 2, 7, 6)
@@ -254,8 +236,7 @@ class TestPatchMatrix:
 
     @pytest.mark.parametrize("k,stride,pad", GEOMETRIES)
     def test_col2im_is_the_adjoint(self, rng, k, stride, pad):
-        for shape in self.SHAPES:
-            x = rng.normal(size=shape)
+        for x in self.inputs(rng, k, stride, pad):
             cols, _, _ = core.im2col(x, k, stride, pad)
             g = rng.normal(size=cols.shape)
             lhs = float(np.sum(core.col2im(g, x.shape, k, stride, pad) * x))
