@@ -7,23 +7,24 @@ flip), the universal deep-learning convention.
 
 conv2d_forward and conv2d_backward take groups; groups = 1 is the
 dense convolution. Every forward convolution (dense, grouped, and the
-gated layers' evaluation) goes through batched_conv. Stride 1 with at most
+gated layers' evaluation) goes through batched_conv, which runs it as
+shifted taps or as one take (im2col) and a GEMM. Stride 1 with at most
 SHIFTED_TAPS_MAX_CHANNELS output channels on a map of at least
 SHIFTED_TAPS_MIN_PIXELS output pixels runs as k^2 GEMMs on shifted
 slices of the padded, flattened input, with no patch matrix and the
-output already in NCHW order; other shapes, and every backward pass, use
-im2col/col2im. The constants sit next to the timings they come from.
+output already in NCHW order; other shapes, and every backward pass,
+use im2col/col2im. The constants sit next to the timings they come
+from.
 
 The patch matrix is channel-major: im2col(x) is (N, C*k*k, H'*W'), row
 c*k*k + a*k + b of sample n holding tap (a, b) of channel c at every
 output pixel, and a GEMM W (C', C*k*k) @ cols[n] gives sample n's output
-already in NCHW order. On outputs at most IM2COL_TAKE_MAX_WIDTH pixels
-wide (the desk model's gated layers, 4 and 8 wide) it is one np.take of
-each padded plane through a memoized index of each entry's padded
-position; on wider ones it is one copy of a window view of the padded
-input. Both copy the same values, so the matrix is the same bit for bit.
-col2im, the adjoint, is one np.bincount over the same index, equal bit
-for bit to the loop of k^2 strided slice additions it replaces.
+already in NCHW order. It is one np.take of the unpadded planes, each
+with a zero sentinel appended, through a memoized index of each entry's
+position in its plane; padding taps read the sentinel, so no padded copy
+is made. col2im, the adjoint, is one np.bincount over the same index,
+equal bit for bit to the loop of k^2 strided slice additions it
+replaces.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "ConvFilter",
@@ -109,54 +109,27 @@ def conv_output_size(size: int, k: int, stride: int, pad: int) -> int:
     return out
 
 
-# Output widths up to which im2col unfolds with one np.take through
-# _patch_index instead of copying the window view. Each inner row of the
-# window copy moves only W' doubles, and on narrow maps the copy's
-# per-row overhead outweighs the take's indexed reads. im2col on each
-# path, 1 BLAS thread, padding included (2-core Xeon, numpy 2.4; medians
-# of 15 runs, interleaving the paths):
-#
-#   N x C @ map, stride       W'   window   take   ms
-#   256 x 3 @ 32x32, s2       16     3.72   4.35   the desk stem
-#   64 x 16 @ 16x16, s1       16     2.47   2.84
-#   64 x 16 @ 12x12, s1       12     1.38   1.49
-#   1 x 256 @ 14x14, s1       14     0.53   0.51
-#   1 x 64 @ 56x56, s1        56     1.44   2.00   layer_b1's dense layer
-#   64 x 16 @ 10x10, s1       10     1.26   1.06
-#   64 x 8 @ 16x16, s2         8     0.58   0.53   the desk model's gated
-#   64 x 16 @ 8x8, s2          4     0.38   0.28   layers and their
-#   64 x 32 @ 4x4, s1          4     0.74   0.41   evaluation stacks
-#   256 x 16 @ 4x4, s1         4     1.49   0.89
-#
-# Both paths copy the same values, so the patch matrix is the same bit
-# for bit. The rule reads the output width of one sample, never the
-# stack size.
-IM2COL_TAKE_MAX_WIDTH = 8
-
-
-def im2col(x: np.ndarray, k: int, stride: int, pad: int) -> tuple[np.ndarray, int, int]:
+def im2col(x: np.ndarray, k: int, stride: int, pad: int,
+           scale: np.ndarray | None = None) -> tuple[np.ndarray, int, int]:
     """Unfold x into the channel-major patch matrix (N, C*k*k, H'*W').
 
     cols[n, c*k*k + a*k + b, i*W' + j] = xpad[n, c, i*stride + a,
-    j*stride + b]: rows are channel-major then kernel row/col, which fixes
-    the accumulation order of the matmul-based convolution. Outputs at
-    most IM2COL_TAKE_MAX_WIDTH wide are one np.take of each padded plane
-    through _patch_index; wider ones copy the window view.
+    j*stride + b], xpad being x zero-padded by pad: rows are channel-major
+    then kernel row/col, which fixes the accumulation order of the
+    matmul-based convolution. scale (N, C), when given, multiplies input
+    channel c of sample n. x is copied once, times scale, into planes of
+    H*W + 1 doubles whose last entry is +0.0, and one np.take through
+    _patch_index reads every entry, each padding tap from that zero.
     """
     n, c, h, w = x.shape
     oh = conv_output_size(h, k, stride, pad)
     ow = conv_output_size(w, k, stride, pad)
-    if pad:
-        x = _padded(x, pad, None)
-    hp, wp = x.shape[2:]
-    if ow <= IM2COL_TAKE_MAX_WIDTH:
-        cols = np.take(x.reshape(n, c, hp * wp), _patch_index(hp, wp, k, stride),
-                       axis=2)
-    else:
-        # One copy of the (N, C, k, k, H', W') window view: 10-25% faster
-        # than k^2 slice copies on the desk model's maps.
-        win = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
-        cols = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3))
+    planes = np.empty((n, c, h * w + 1))
+    # A view: the reshape only splits the contiguous last axis.
+    inner = planes[:, :, :-1].reshape(n, c, h, w)
+    np.multiply(x, 1.0 if scale is None else scale[:, :, None, None], out=inner)
+    planes[:, :, -1] = 0.0
+    cols = np.take(planes, _patch_index(h, w, k, stride, pad), axis=2)
     return cols.reshape(n, c * k * k, oh * ow), oh, ow
 
 
@@ -165,35 +138,37 @@ def col2im(gcols: np.ndarray, x_shape: tuple[int, ...], k: int, stride: int,
     """Scatter-add patch-matrix gradients (N, C*k*k, H'*W') back to input
     layout: the adjoint of im2col.
 
-    One np.bincount over the flat padded positions of every patch-matrix
-    entry. bincount starts each position at zero and adds its entries in
-    array order, tap (a, b) by tap, so the sums are those of a loop of
+    One np.bincount over _patch_index, offset to each plane of H*W + 1
+    positions; the padding taps land on each plane's last position, which
+    is dropped. bincount starts each position at zero and adds its entries
+    in array order, tap (a, b) by tap, so the sums are those of a loop of
     k^2 strided slice additions, bit for bit.
     """
     n, c, h, w = x_shape
-    hp, wp = h + 2 * pad, w + 2 * pad
-    plane = hp * wp
-    index = (_patch_index(hp, wp, k, stride)
+    plane = h * w + 1
+    index = (_patch_index(h, w, k, stride, pad)
              + np.arange(0, n * c * plane, plane)[:, None]).ravel()
     gx = np.bincount(index, weights=gcols.ravel(), minlength=n * c * plane)
-    gx = gx.reshape(n, c, hp, wp)
-    if pad:
-        gx = gx[:, :, pad:pad + h, pad:pad + w]
-    return gx
+    return gx.reshape(n, c, plane)[:, :, :-1].reshape(n, c, h, w)
 
 
 @functools.lru_cache(maxsize=64)
-def _patch_index(hp: int, wp: int, k: int, stride: int) -> np.ndarray:
-    """Flat position in one zero-padded (Hp, Wp) plane of each entry of
-    its rows of the patch matrix, in (a, b, i, j) order; read-only, as it
-    is shared between calls. It holds no channel count, so one index
-    serves every channel count of a geometry: im2col takes through it
-    plane by plane, and col2im offsets it to each plane of the batch."""
-    oh = conv_output_size(hp, k, stride, 0)
-    ow = conv_output_size(wp, k, stride, 0)
-    rows = np.arange(k)[:, None] + stride * np.arange(oh)[None, :]   # (k, H')
-    cols = np.arange(k)[:, None] + stride * np.arange(ow)[None, :]   # (k, W')
-    index = (rows[:, None, :, None] * wp + cols[None, :, None, :]).ravel()
+def _patch_index(h: int, w: int, k: int, stride: int, pad: int) -> np.ndarray:
+    """Flat position in one (H, W) plane of each entry of its rows of the
+    patch matrix, in (a, b, i, j) order, with every tap that falls in the
+    padding pointing at position H*W; read-only, as it is shared between
+    calls. It holds no channel count, so one index serves every channel
+    count and stack of a geometry: im2col takes through it plane by
+    plane, and col2im offsets it to each plane of the batch."""
+    oh = conv_output_size(h, k, stride, pad)
+    ow = conv_output_size(w, k, stride, pad)
+    # Unpadded row and column of tap a (b) at output row i (column j).
+    rows = np.arange(k)[:, None] + stride * np.arange(oh)[None, :] - pad   # (k, H')
+    cols = np.arange(k)[:, None] + stride * np.arange(ow)[None, :] - pad   # (k, W')
+    inside = (((rows >= 0) & (rows < h))[:, None, :, None]
+              & ((cols >= 0) & (cols < w))[None, :, None, :])
+    index = np.where(inside, rows[:, None, :, None] * w + cols[None, :, None, :],
+                     h * w).ravel()
     index.flags.writeable = False
     return index
 
@@ -238,27 +213,29 @@ def conv2d_forward(x: np.ndarray, filt: ConvFilter,
 
 
 # Which stride-1 convolutions run as shifted taps (_shifted_taps) rather
-# than im2col + one GEMM per sample. batched_conv on each path, 1 BLAS
-# thread, k = 3, pad 1, C = C' (2-core Xeon, numpy 2.4 / OpenBLAS 0.3.31);
-# medians of three runs, each interleaving the paths call by call.
-# "row-major" is the former (N*H'*W', C*k*k) unfold, one GEMM and a
-# transposed output, against which the constants were chosen:
+# than im2col + one GEMM per sample. The constants were chosen against a
+# former row-major unfold, (N*H'*W', C*k*k) with one GEMM and a
+# transposed output, which the taps beat on exactly these shapes.
+# Re-timed against the channel-major im2col: batched_conv on each path,
+# 1 BLAS thread, k = 3, pad 1, C = C' (2-core Xeon, numpy 2.4 / OpenBLAS
+# 0.3.31); medians of three runs, each interleaving the paths call by
+# call:
 #
-#   C @ map      samples              row-major  im2col   taps   ms
-#   16 @ 56x56   1                        1.94     0.88   0.60   gated head
-#   32 @ 28x28   1                        0.95     0.49   0.47   slices at
-#   64 @ 14x14   1                        0.64     0.38   0.56   rate 0.75
-#   64 @ 56x56   1                        9.23     5.29   5.95   dense layers
-#   128 @ 28x28  1                        6.52     4.37   5.29
-#   128 @ 14x14  1                        1.77     1.24   1.60
-#   192 @ 14x14  1                        3.31     2.51   3.71
-#   256 @ 14x14  1                        5.07     4.44   7.26
-#   256 @ 20x20  1                       10.8      8.84  12.1
-#   16 @ 4x4     256, one bank each       2.31     1.67   4.16   desk model's
-#   16 @ 5x5     256, one bank each       3.58     2.50   5.29   gated heads
-#   32 @ 6x6     32, one bank each        1.55     1.03   1.87
-#   32 @ 7x7     32, one bank each        2.23     1.32   2.32
-#   16 @ 8x8     256, one bank each      12.5      7.55  10.6
+#   C @ map      samples               im2col   taps   ms
+#   16 @ 56x56   1                       0.86   0.46   gated head
+#   32 @ 28x28   1                       0.87   0.92   slices at
+#   64 @ 14x14   1                       0.37   0.52   rate 0.75
+#   64 @ 56x56   1                       5.96   6.42   dense layers
+#   128 @ 28x28  1                       6.21   7.12
+#   128 @ 14x14  1                       1.74   2.18
+#   192 @ 14x14  1                       3.28   4.64
+#   256 @ 14x14  1                       4.39   7.35
+#   256 @ 20x20  1                       8.66  11.65
+#   16 @ 4x4     256, one bank each      1.12   4.23   desk model's
+#   16 @ 5x5     256, one bank each      1.89   5.37   gated heads
+#   32 @ 6x6     32, one bank each       0.87   1.90
+#   32 @ 7x7     32, one bank each       1.13   2.20
+#   16 @ 8x8     256, one bank each      4.18   8.81
 #
 # The channel-major im2col copies k^2 * C values per output pixel, and
 # its GEMM writes NCHW. The taps make k^2 GEMMs per sample and k^2 - 1
@@ -270,10 +247,11 @@ def conv2d_forward(x: np.ndarray, filt: ConvFilter,
 # send shapes such as 64 @ 56x56 and 16 @ 8x8 stacks to the slower path.
 # End to end the taps still pay: with them removed, perfbench layer_b1
 # fell from 1.146 to 0.991 images_per_probe (median of 4 alternating
-# pairs), so moving these limits is a performance change to measure
-# there. The rule reads the shape of one sample, never the stack size,
-# so a stack of one and a stack of many take the same path and give the
-# same bits.
+# pairs), and with SHIFTED_TAPS_MAX_CHANNELS = 16 it moved from 1.083
+# to 1.092, less than the quartile distance of its runs (4 pairs), so
+# moving these limits is a performance change to measure there. The rule
+# reads the shape of one sample, never the stack size, so a stack of one
+# and a stack of many take the same path and give the same bits.
 SHIFTED_TAPS_MAX_CHANNELS = 128     # output channels C'
 SHIFTED_TAPS_MIN_PIXELS = 64        # output pixels H' * W'
 
@@ -285,11 +263,11 @@ def batched_conv(x: np.ndarray, weights: np.ndarray, stride: int, pad: int,
     (N, C', H', W'), possibly a strided view.
 
     scale (N, C), when given, multiplies input channel c of sample n; it
-    is applied while x is copied into its zero-padded buffer, a copy both
-    paths make anyway. Stride 1 runs shifted-tap GEMMs when C' <=
-    SHIFTED_TAPS_MAX_CHANNELS and H' * W' >= SHIFTED_TAPS_MIN_PIXELS;
-    everything else runs im2col and one GEMM per sample, W @ cols[n],
-    whose output is already NCHW.
+    is applied in the one copy of x each path makes anyway (the taps'
+    zero-padded buffer, im2col's planes). Stride 1 runs shifted-tap
+    GEMMs when C' <= SHIFTED_TAPS_MAX_CHANNELS and H' * W' >=
+    SHIFTED_TAPS_MIN_PIXELS; everything else runs im2col and one GEMM per
+    sample, W @ cols[n], whose output is already NCHW.
     """
     n = x.shape[0]
     co, k = weights.shape[-4], weights.shape[-1]
@@ -298,16 +276,14 @@ def batched_conv(x: np.ndarray, weights: np.ndarray, stride: int, pad: int,
     if (stride == 1 and co <= SHIFTED_TAPS_MAX_CHANNELS
             and oh * ow >= SHIFTED_TAPS_MIN_PIXELS):
         return _shifted_taps(_padded(x, pad, scale), weights, oh, ow)
-    if scale is not None:
-        x, pad = _padded(x, pad, scale), 0
-    cols, _, _ = im2col(x, k, stride, pad)
+    cols, _, _ = im2col(x, k, stride, pad, scale)
     y = np.matmul(weights.reshape(*weights.shape[:-4], co, -1), cols)
     return y.reshape(n, co, oh, ow)
 
 
 def _padded(x: np.ndarray, pad: int, scale: np.ndarray | None) -> np.ndarray:
     """x zero-padded by pad on each spatial side, times scale (N, C) when
-    given."""
+    given: _shifted_taps' input."""
     n, c, h, w = x.shape
     xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
     np.multiply(x, 1.0 if scale is None else scale[:, :, None, None],

@@ -75,8 +75,10 @@ class DatasetSource:
         return self.mean, self.std
 
     def standardized(self, images: np.ndarray | None = None) -> np.ndarray:
-        x = self.images if images is None else images
-        return (x - self.mean[:, None, None]) / self.std[:, None, None]
+        """(images - mean) / std per channel, in one new array."""
+        x = (self.images if images is None else images) - self.mean[:, None, None]
+        x /= self.std[:, None, None]
+        return x
 
     def split(self, train_count: int) -> tuple["DatasetSource", "DatasetSource"]:
         """Head/tail split; the tail standardizes by the head's statistics."""
@@ -94,9 +96,11 @@ class DatasetSource:
         """Yield (inputs, labels) minibatches; shuffles, and augments if asked,
         only when an rng is supplied (training); otherwise sequential order."""
         n = len(self)
-        order = rng.permutation(n) if rng is not None else np.arange(n)
+        order = rng.permutation(n) if rng is not None else None
         for start in range(0, n, batch_size):
-            idx = order[start:start + batch_size]
+            # Sequential batches are slices: views, not fancy-index copies.
+            idx = (slice(start, start + batch_size) if order is None
+                   else order[start:start + batch_size])
             x = self.standardized(self.images[idx])
             if augment and rng is not None:
                 x = augment_batch(x, rng)

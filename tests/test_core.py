@@ -161,26 +161,20 @@ class TestBatchedConv:
 
 
 class TestPatchMatrix:
-    """im2col's channel-major layout on both of its unfolds (the take on
-    outputs at most core.IM2COL_TAKE_MAX_WIDTH wide, the window copy on
-    wider ones), and col2im as its adjoint."""
+    """im2col's channel-major layout, its scale and padding, the index it
+    shares with col2im, and col2im as its adjoint."""
 
     GEOMETRIES = [(k, stride, pad) for k in (1, 3, 5) for stride in (1, 2, 3)
                   for pad in (0, 1, 2)]
-
-    @staticmethod
-    def widths():
-        limit = core.IM2COL_TAKE_MAX_WIDTH
-        return {limit - 1, limit, limit + 1, limit + 4}
+    WIDTHS = (7, 8, 9, 12)
 
     @staticmethod
     def inputs(rng, k, stride, pad):
-        """Stacks of 2 on maps whose outputs are one narrower than the
-        limit, at it, one wider and four wider, a non-contiguous channel
-        slice and an input with no channels."""
+        """Stacks of 2 on maps whose outputs are 7, 8, 9 and 12 wide, a
+        non-contiguous channel slice and an input with no channels."""
         h = k + 2
         xs = []
-        for ow in TestPatchMatrix.widths():
+        for ow in TestPatchMatrix.WIDTHS:
             w = (ow - 1) * stride + k - 2 * pad      # output exactly ow wide
             xs.append(rng.normal(size=(2, 3, h, w)))
         xs.append(rng.normal(size=(2, 5, h, w))[:, 1:4])
@@ -200,24 +194,36 @@ class TestPatchMatrix:
             nn, cc, a, b, i, j = np.indices((n, c, k, k, oh, ow))
             npt.assert_array_equal(cols.reshape(n, c, k, k, oh, ow),
                                    xpad[nn, cc, i * stride + a, j * stride + b])
-        assert widths == self.widths()
+        assert widths == set(self.WIDTHS)
 
-    def test_narrow_unfold_takes_through_col2im_index(self, rng):
+    @pytest.mark.parametrize("pad", [0, 1, 2])
+    def test_scale_multiplies_the_input_not_the_padding(self, rng, pad):
+        x = rng.normal(size=(3, 4, 6, 9))[:, ::2]
+        scale = -np.abs(rng.normal(size=(3, 2)))
+        cols, _, _ = core.im2col(x, 3, 1, pad, scale)
+        ref, _, _ = core.im2col(x * scale[..., None, None], 3, 1, pad)
+        assert cols.tobytes() == ref.tobytes()
+        # Every padding tap reads the zero sentinel: +0.0 under a negative
+        # scale, where a scaled zero would be -0.0.
+        pads = core._patch_index(6, 9, 3, 1, pad) == 6 * 9
+        assert pads.any() == (pad > 0)
+        taps = cols.reshape(3, 2, -1)[:, :, pads]
+        assert not np.any(taps) and not np.any(np.signbit(taps))
+
+    def test_unfolds_and_col2im_share_one_index(self, rng):
         index = core._patch_index
         index.cache_clear()
-        narrow = rng.normal(size=(2, 5, 8, 8))
-        g = rng.normal(size=(2, 5 * 9, 64))
-        core.col2im(g, narrow.shape, 3, 1, 1)
+        x = rng.normal(size=(2, 5, 8, 8))
+        core.col2im(rng.normal(size=(2, 5 * 9, 64)), x.shape, 3, 1, 1)
         assert index.cache_info().misses == 1
-        core.im2col(narrow, 3, 1, 1)
-        # Other channel counts and stacks of the same geometry, as global
-        # gating's kept counts give, share the one entry.
-        core.im2col(narrow[:1, :2], 3, 1, 1)
+        # Other channel counts and stacks of the geometry, as global
+        # gating's kept counts give, scaled or not, share the one entry.
+        core.im2col(x, 3, 1, 1)
+        core.im2col(x[:1, :2], 3, 1, 1)
+        core.im2col(x[:, 1:4], 3, 1, 1, rng.normal(size=(2, 3)))
+        core.col2im(rng.normal(size=(7, 1 * 9, 64)), (7, 1, 8, 8), 3, 1, 1)
         info = index.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
-        wide = rng.normal(size=(2, 5, 8, 9))          # 9 wide: window copy
-        core.im2col(wide, 3, 1, 1)
-        assert index.cache_info() == info
+        assert (info.hits, info.misses, info.currsize) == (4, 1, 1)
 
     @pytest.mark.parametrize("batch", [1, 3])
     @pytest.mark.parametrize("k,stride,pad", GEOMETRIES)

@@ -119,6 +119,24 @@ class TestDatasetSource:
         assert len(seen) == 10
         npt.assert_array_equal(seen, src.labels)
 
+    def test_standardized_is_the_two_pass_formula_in_float64(self):
+        train = synth_dataset(seed=1, classes=2, count=16)
+        images = train.images.astype(np.float32)
+        src = DatasetSource(images, train.labels, train.mean, train.std)
+        x = src.standardized()
+        assert x.dtype == np.float64
+        two_pass = (images - train.mean[:, None, None]) / train.std[:, None, None]
+        assert x.tobytes() == two_pass.tobytes()
+
+    def test_sequential_batches_equal_the_indexed_rows(self):
+        src = synth_dataset(seed=4, classes=2, count=10)
+        batches = list(src.batches(4))
+        assert [y.shape[0] for _, y in batches] == [4, 4, 2]
+        for start, (x, y) in zip(range(0, 10, 4), batches):
+            rows = np.arange(start, min(start + 4, 10))
+            assert x.tobytes() == src.standardized(src.images[rows]).tobytes()
+            npt.assert_array_equal(y, src.labels[rows])
+
     def test_batches_shuffle_with_rng(self):
         src = synth_dataset(seed=4, classes=2, count=32)
         got = np.concatenate([y for _, y in
